@@ -3,6 +3,7 @@
 Everything revolves around four layers:
 
 - :mod:`homing.perms`      -- permutations, placements, evictions
+- :mod:`homing.successors` -- all of S_n as one int8 matrix, ranked in bulk
 - :mod:`homing.codes`      -- the {+,-,0} code of a state and its weight
 - :mod:`homing.strategies` -- homing strategies and shortest sorts
 - :mod:`homing.heights`    -- exhaustive longest-sort tables and worst cases

@@ -8,10 +8,15 @@ the tower-of-Hanoi pattern and realizes the global maximum 2^(n-1)-1.
 
 Shortest sorts are found by breadth-first search over the placement
 digraph, with states packed into a dense index space by the factorial
-ranking from :mod:`homing.perms`.  All functions are pure given their
-arguments; the random strategy takes an explicit 64-bit seed and uses the
-Mersenne Twister (``random.Random``) with uniform choice among the
-out-of-place values, so traces are reproducible across platforms.
+ranking from :mod:`homing.perms`.  The table for all of S_n is one BFS
+from the identity along evictions, run in rounds over
+:mod:`homing.successors`: each round ranks every eviction out of the
+frontier at once and keeps the states not reached before.
+
+All functions are pure given their arguments; the random strategy takes an
+explicit 64-bit seed and uses the Mersenne Twister (``random.Random``) with
+uniform choice among the out-of-place values, so traces are reproducible
+across platforms.
 """
 from __future__ import annotations
 
@@ -22,18 +27,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
+import numpy as np
+
 from .codes import code_of, weight
 from .errors import CapacityError
-from .perms import (
-    Perm,
-    displacement_successors,
-    identity,
-    lis_length,
-    place,
-    placeable_values,
-    rank,
-    reverse,
-)
+from .perms import Perm, identity, place, placeable_values, rank
+from .successors import displacement_ranks, layer_bytes, perm_matrix
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -196,7 +195,9 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapacityError(
-            f"n={n} exceeds the search cap {cap}; raise the cap explicitly to proceed"
+            f"n={n} exceeds the search cap {cap} ({factorial(n)} states, "
+            f"about {layer_bytes(n) / 1e6:,.0f} MB: n!*(n+5) bytes plus the frontier); "
+            f"raise the cap explicitly to proceed"
         )
 
 
@@ -237,29 +238,26 @@ def min_placements_table(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bytearray:
     because a displacement is exactly a placement run backwards.
     """
     _check_cap(n, cap)
-    dist = bytearray([255]) * factorial(n)
-    dist[0] = 0
-    frontier = [identity(n)]
+    perms = perm_matrix(n)
+    dist = np.full(len(perms), 255, dtype=np.uint8)
+    dist[0] = 0  # the identity has rank 0
+    frontier = np.flatnonzero(dist == 0)
     depth = 0
-    while frontier:
+    while len(frontier):
         depth += 1
-        nxt = []
-        for state in frontier:
-            for _, q in displacement_successors(state):
-                r = rank(q)
-                if dist[r] == 255:
-                    dist[r] = depth
-                    nxt.append(q)
-        frontier = nxt
-    assert 255 not in dist
-    return dist
+        reached = displacement_ranks(perms[frontier])
+        dist[reached[dist[reached] == 255]] = depth
+        frontier = np.flatnonzero(dist == depth)
+    table = bytearray(dist)
+    assert 255 not in table
+    return table
 
 
 def unique_worst_case_check(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """True iff the reversal is the only permutation needing n-1 placements."""
     dist = min_placements_table(n, cap)
     worst = [r for r, d in enumerate(dist) if d == n - 1]
-    return worst == [rank(reverse(n))]
+    return worst == [factorial(n) - 1]  # the reversal ranks last
 
 
 def smallest_first_steps(p: Perm) -> int:

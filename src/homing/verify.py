@@ -4,7 +4,7 @@ Each property here restates one of the package's mathematical guarantees
 as an exhaustive (or seeded-random) check at a configurable scale, and
 reports a counterexample when it fails.  The ``homing verify`` subcommand
 and the test suite both run these; the checks deliberately use independent
-machinery where one exists (value iteration against the DFS tables, the
+machinery where one exists (value iteration against the Kahn-round tables, the
 binary readings against the strip recursion, and so on).
 
 ``nmax`` caps the permutation sizes and code lengths explored; each
@@ -333,7 +333,7 @@ def check_eviction_duality(nmax: int, cap: int) -> PropertyResult:
         dist = [-1] * factorial(n)
         dist[0] = 0
         changed = True
-        while changed:  # value iteration, independent of the DFS
+        while changed:  # value iteration, independent of the Kahn rounds
             changed = False
             for p in all_perms(n):
                 d = dist[rank(p)]

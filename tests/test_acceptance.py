@@ -64,7 +64,7 @@ def test_worst_case_bound(tables):
     for n in range(1, 10):
         assert tables.get(n).max() == (1 << (n - 1)) - 1
     n9 = tables.build_seconds[9]
-    assert n9 < 300.0
+    assert n9 < 30.0
     print(f"\nPASS worst-case bound: max height = 2^(n-1)-1 for n=1..9 (n=9 in {n9:.1f}s)")
 
 
@@ -353,7 +353,10 @@ def test_growth_table():
 
 @pytest.mark.skipif(not RUN_N10, reason="set HOMING_EXHAUSTIVE_N10=1 to run the 10! table")
 def test_optional_exhaustive_n10(tables):
-    """Optional 3.6M-state check: the bound and the count hold at n = 10."""
+    """Optional 3.6M-state check: the bound and the count hold at n = 10.
+
+    Opt-in because the table takes about 3 s and 90 MB at its peak on a
+    2-vCPU host, where the n <= 9 tables take 0.3 s together."""
     table = tables.get(10)
     assert table.max() == (1 << 9) - 1
     assert len(table.members_at((1 << 9) - 1)) == 52864

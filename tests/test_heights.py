@@ -1,8 +1,12 @@
 """Height tables, worst-case sets, and the pinned-eviction bound."""
+import json
+import random
+
 import pytest
 
 from homing import (
     CapacityError,
+    CycleError,
     all_perms,
     code_of,
     displacement_successors,
@@ -45,7 +49,7 @@ def oracle_heights(n):
 
 def forward_eviction_heights(n):
     """Longest displacement path from the identity to each state, by value
-    iteration (Bellman-Ford style), independent of the DFS machinery."""
+    iteration (Bellman-Ford style), independent of the Kahn rounds."""
     from math import factorial
 
     dist = [-1] * factorial(n)
@@ -66,13 +70,39 @@ def forward_eviction_heights(n):
     return dist
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_table_matches_bruteforce(n):
     table = build_height_table(n)
     expected = oracle_heights(n)
     for p, h in expected.items():
-        assert table.height_of(p) == h
+        assert table.heights[rank(p)] == h
         assert height(p) == h
+
+
+def test_table_matches_point_queries_sampled_n8():
+    table = build_height_table(8)
+    rng = random.Random(2008)
+    for _ in range(200):
+        p = tuple(rng.sample(range(1, 9), 8))
+        assert table.heights[rank(p)] == height(p)
+
+
+def test_unreleased_states_raise_cycle_error(monkeypatch):
+    import homing.heights as heights_module
+
+    real = heights_module.displacement_ranks
+
+    def with_back_edge(rows):
+        ranks = real(rows)
+        if rows[0].tolist() == list(identity(rows.shape[1])):
+            # the identity's first eviction now leads back to the identity: the
+            # state it replaced keeps one placement that is never released
+            ranks[0] = 0
+        return ranks
+
+    monkeypatch.setattr(heights_module, "displacement_ranks", with_back_edge)
+    with pytest.raises(CycleError, match="never released"):
+        build_height_table(5)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -184,14 +214,31 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_members_json():
-    import json
-
     text = members_json([(2, 1)])
     assert json.loads(text) == [[2, 1]]
+    assert members_json([]) == json.dumps([])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_members_json_is_json_dumps(n):
+    table = build_height_table(n)
+    for h in range(table.max() + 1):
+        members = table.members_at(h)
+        assert members_json(members) == json.dumps([list(p) for p in members])
+
+
+def test_tables_are_read_only(tmp_path):
+    table = build_height_table(4)
+    path = tmp_path / "h4.bin"
+    save_height_table(table, path)
+    for t in (table, load_height_table(path)):
+        with pytest.raises(ValueError):
+            t.heights[0] = 1
 
 
 def test_capacity_checks():
-    with pytest.raises(CapacityError):
+    # 11! * (11 + 5) bytes, named before anything is allocated
+    with pytest.raises(CapacityError, match=r"about 639 MB"):
         build_height_table(11)
     with pytest.raises(CapacityError):
         height(tuple(range(1, 12)))

@@ -144,7 +144,7 @@ def test_min_placements_examples():
     assert min_placements((4, 1, 3, 5, 2)) == 3
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_min_placements_matches_bfs_oracle(n):
     table = min_placements_table(n)
     for p in all_perms(n):
@@ -169,7 +169,7 @@ def test_unique_worst_case(n):
 def test_capacity_errors():
     with pytest.raises(CapacityError):
         min_placements(identity(12))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"about 8,143 MB"):
         min_placements_table(12)
     assert min_placements(identity(12), cap=12) == 0
 
