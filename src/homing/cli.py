@@ -15,7 +15,8 @@ Subcommands map one-to-one onto the library:
 - ``verify``             run the named invariant suites
 
 Exit status: 0 on success, 1 when ``verify`` finds a failure, 2 on usage
-errors (including malformed permutation/word/partition text).  Output is
+errors (including malformed permutation/word/partition text and a
+``--format`` the subcommand does not accept; see :data:`FORMATS`).  Output is
 byte-deterministic given identical flags and seed.  ``--out FILE`` writes
 atomically (temp file, then rename), so an interrupt never leaves a
 half-written file.
@@ -27,6 +28,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from .counting import growth_csv, growth_table, worst_case_count
 from .errors import CapacityError, HomingError, ParseError
@@ -54,6 +56,23 @@ from .verify import run_suite, suite_names
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+
+# subcommand -> (default --format, the formats it accepts); argparse rejects
+# any other format with exit code 2
+FORMATS = {
+    "sort": ("text", ("text",)),
+    "trace": ("text", ("text",)),
+    "height": ("text", ("text", "json", "csv")),
+    "min-steps": ("text", ("text", "json", "csv")),
+    "enum-mn": ("json", ("json", "text")),
+    "count-mn": ("csv", ("csv", "json")),
+    "words": ("text", ("text", "json")),
+    "canon": ("text", ("text", "json", "csv")),
+    "bell-bijection": ("text", ("text", "json", "csv")),
+    "growth": ("csv", ("csv", "json")),
+    "random-sim": ("text", ("text", "json")),
+    "verify": ("text", ("text",)),
+}
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -157,20 +176,7 @@ def _cmd_bell_bijection(args) -> int:
 def _cmd_growth(args) -> int:
     rows = growth_table(args.nmax)
     if args.format == "json":
-        text = (
-            json.dumps(
-                [
-                    {
-                        "n": r.n,
-                        "factorial_root": r.factorial_root,
-                        "mn_root": r.mn_root,
-                        "bell_root": r.bell_root,
-                    }
-                    for r in rows
-                ]
-            )
-            + "\n"
-        )
+        text = json.dumps([asdict(r) for r in rows]) + "\n"
     else:
         text = growth_csv(rows)
     _write_output(text, args.out)
@@ -208,9 +214,9 @@ def _cmd_verify(args) -> int:
     results = run_suite(args.suite, nmax=args.nmax, cap=args.cap)
     lines = []
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
+        status = f"PASS {r.name} ({r.cases} cases)" if r.passed else f"FAIL {r.name}"
         suffix = f": {r.detail}" if r.detail else ""
-        lines.append(f"{status} {r.name}{suffix}\n")
+        lines.append(f"{status}{suffix}\n")
     failures = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failures}/{len(results)} properties passed\n")
     _write_output("".join(lines), args.out)
@@ -232,11 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         sp.add_argument("--out", metavar="FILE", help="write output atomically to FILE")
+        default, accepted = FORMATS[name]
         sp.add_argument(
             "--format",
-            choices=("text", "json", "csv"),
-            default=None,
-            help="output format (default depends on the subcommand)",
+            choices=accepted,
+            default=default,
+            help=f"output format (default: {default})",
         )
         return sp
 
@@ -293,27 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_FORMATS = {
-    "sort": "text",
-    "trace": "text",
-    "height": "text",
-    "min-steps": "text",
-    "enum-mn": "json",
-    "count-mn": "csv",
-    "words": "text",
-    "canon": "text",
-    "bell-bijection": "text",
-    "growth": "csv",
-    "random-sim": "text",
-    "verify": "text",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = _DEFAULT_FORMATS[args.command]
     try:
         return args.handler(args)
     except (ParseError, CapacityError, ValueError) as err:

@@ -64,6 +64,11 @@ def parse_code(text: str) -> str:
     return text
 
 
+def _check_tie(tie: str) -> None:
+    if tie != "-" and tie != "+":
+        raise ValueError(f"tie must be '+' or '-', got {tie!r}")
+
+
 def _pick(syms: list[str], tie: str) -> tuple[int, int] | None:
     """Index and reach of the next symbol to strip, or None if all zeros."""
     k = len(syms)
@@ -93,8 +98,7 @@ def strip_trace(code: str, tie: str = "-") -> list[StripStep]:
     [StripStep(position=1, exponent=2), StripStep(position=2, exponent=0)]
     """
     parse_code(code)
-    if tie not in "+-":
-        raise ValueError(f"tie must be '+' or '-', got {tie!r}")
+    _check_tie(tie)
     syms = list(code)
     steps = []
     while True:
@@ -113,6 +117,7 @@ def weight(code: str, tie: str = "-") -> int:
     (0, 5, 31)
     """
     parse_code(code)
+    _check_tie(tie)
     syms = list(code)
     total = 0
     while True:

@@ -63,24 +63,24 @@ def worst_case_count(n: int) -> int:
     return sum(split_count(i, n - i) for i in range(1, n))
 
 
-_bell_triangle_rows: list[list[int]] = [[1]]
-
-
 def bell_number(m: int) -> int:
     """Number of set partitions of an m-element set, via the Bell triangle.
+
+    The triangle is built afresh on each call, so concurrent calls share no
+    state.
 
     >>> [bell_number(m) for m in range(6)]
     [1, 1, 2, 5, 15, 52]
     """
     if m < 0:
         raise ValueError(f"needs m >= 0, got {m}")
-    while len(_bell_triangle_rows) <= m:
-        prev = _bell_triangle_rows[-1]
-        row = [prev[-1]]
-        for x in prev:
-            row.append(row[-1] + x)
-        _bell_triangle_rows.append(row)
-    return _bell_triangle_rows[m][0] if m == 0 else _bell_triangle_rows[m - 1][-1]
+    row = [1]
+    for _ in range(m - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
 
 
 def prellberg_sequence(

@@ -9,6 +9,11 @@ position s <= i+1) or to +^(i+1) 0^(k-1) -^j (a right firing, sending the
 bottom value i+2 to some position s >= i+k+2).  A firing is "short" when
 the moved value lands right next to the home block.
 
+A firing is applied as one O(n) splice of the state, its net effect.  The
+displacement block itself (:func:`firing_moves`) is kept as the paper's
+construction and as the oracle that ``homing.verify`` replays against the
+splice.
+
 Recording a left firing into position (i+1)-t as the letter L_t and a
 right firing into position (i+k+2)+t as R_t encodes each schedule as a
 word.  Words are equivalent exactly when they produce the same state; the
@@ -25,7 +30,7 @@ from typing import Iterator, NamedTuple
 
 from .codes import code_of
 from .errors import CodeShapeError, ParseError, WordError
-from .perms import DisplacementMove, Perm, displace, reverse_complement, swap_ends
+from .perms import DisplacementMove, Perm, swap_ends
 
 SetPartition = tuple[tuple[int, ...], ...]
 
@@ -87,67 +92,92 @@ def _left_moves(i: int, k: int, s: int) -> list[DisplacementMove]:
     return moves
 
 
+def _check_target(n: int, shape: tuple[int, int, int], side: str, target: int) -> None:
+    """Raise unless a firing on ``side`` may land at ``target`` on a state of
+    code shape (i, k, j): 1..i+1 on the left, i+k+2..n on the right."""
+    i, k, j = shape
+    if side == LEFT:
+        lo, hi, label = 1, i + 1, "left"
+    elif side == RIGHT:
+        lo, hi, label = i + k + 2, n, "right"
+    else:
+        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    if not lo <= target <= hi:
+        raise WordError(
+            f"{label} firing target {target} outside {lo}..{hi} for code "
+            f"shape (+^{i} 0^{k} -^{j})"
+        )
+
+
 def firing_moves(p: Perm, side: str, target: int) -> list[DisplacementMove]:
     """The displacement block of a firing on ``p``, without applying it.
 
     Left firings require 1 <= target <= i+1; right firings require
-    i+k+2 <= target <= n, where the current code is +^i 0^k -^j.
+    i+k+2 <= target <= n, where the current code is +^i 0^k -^j.  Replaying
+    the block one :func:`~homing.perms.displace` at a time is the oracle for
+    the splice that :func:`fire_left`, :func:`fire_right` and
+    :func:`apply_letter` apply.
     """
     n = len(p)
-    i, k, j = _firable_shape(p)
+    i, k, j = shape = _firable_shape(p)
+    _check_target(n, shape, side, target)
     if side == LEFT:
-        if not 1 <= target <= i + 1:
-            raise WordError(
-                f"left firing target {target} outside 1..{i + 1} for code shape "
-                f"(+^{i} 0^{k} -^{j})"
-            )
         return _left_moves(i, k, target)
-    if side == RIGHT:
-        if not i + k + 2 <= target <= n:
-            raise WordError(
-                f"right firing target {target} outside {i + k + 2}..{n} for code "
-                f"shape (+^{i} 0^{k} -^{j})"
-            )
-        # mirror image: reflect, fire left, reflect back
-        mirrored = _left_moves(j, k, n + 1 - target)
-        return [DisplacementMove(n + 1 - v, n + 1 - t) for v, t in mirrored]
-    raise ValueError(f"side must be 'L' or 'R', got {side!r}")
+    # mirror image: reflect, fire left, reflect back
+    mirrored = _left_moves(j, k, n + 1 - target)
+    return [DisplacementMove(n + 1 - v, n + 1 - t) for v, t in mirrored]
 
 
-def _apply_moves(p: Perm, moves: list[DisplacementMove]) -> Perm:
-    for v, t in moves:
-        p = displace(p, v, t)
-    return p
+def _fire(p: Perm, shape: tuple[int, int, int], side: str, target: int) -> Perm:
+    """The net effect of a firing's whole displacement block, in O(n)."""
+    _check_target(len(p), shape, side, target)
+    i, k, _ = shape
+    s = target
+    if side == LEFT:
+        # value i+k+1 moves to position s, positions s..i shift right by one,
+        # and the value that was at position i+1 lands at position i+k+1
+        return p[:s - 1] + (i + k + 1,) + p[s - 1:i] + p[i + 1:i + k] + (p[i],) + p[i + k + 1:]
+    # the mirror image: value i+2 moves to position s, positions i+k+3..s
+    # shift left by one, and the value that was at position i+k+2 lands at
+    # position i+2
+    return p[:i + 1] + (p[i + k + 1],) + p[i + 2:i + k + 1] + p[i + k + 2:s] + (i + 2,) + p[s:]
 
 
 def fire_left(p: Perm, target: int) -> Perm:
     """Fire the top of the home block to the left, landing at ``target``."""
-    return _apply_moves(p, firing_moves(p, LEFT, target))
+    return _fire(p, _firable_shape(p), LEFT, target)
 
 
 def fire_right(p: Perm, target: int) -> Perm:
     """Mirror image of :func:`fire_left`; equals the reflection conjugate."""
-    return _apply_moves(p, firing_moves(p, RIGHT, target))
+    return _fire(p, _firable_shape(p), RIGHT, target)
 
 
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
 
-def apply_letter(p: Perm, letter: FiringLetter) -> Perm:
-    """One firing, with the letter's offset resolved against the current code."""
-    n = len(p)
-    i, k, _ = _firable_shape(p)
-    if letter.side == LEFT:
-        target = (i + 1) - letter.index
-    else:
-        target = (i + k + 2) + letter.index
+def _letter_target(n: int, shape: tuple[int, int, int], letter: FiringLetter) -> int:
+    i, k, _ = shape
+    target = (i + 1) - letter.index if letter.side == LEFT else (i + k + 2) + letter.index
     if not 1 <= target <= n:
         raise WordError(
             f"letter {format_letter(letter)} needs {letter.index} prior firings "
             f"on the opposite side"
         )
-    return _apply_moves(p, firing_moves(p, letter.side, target))
+    return target
+
+
+def letter_target(p: Perm, letter: FiringLetter) -> int:
+    """The position a letter's firing lands at on ``p``: (i+1)-t for L_t and
+    (i+k+2)+t for R_t, where the code of ``p`` is +^i 0^k -^j."""
+    return _letter_target(len(p), _firable_shape(p), letter)
+
+
+def apply_letter(p: Perm, letter: FiringLetter) -> Perm:
+    """One firing, with the letter's offset resolved against the current code."""
+    shape = _firable_shape(p)
+    return _fire(p, shape, letter.side, _letter_target(len(p), shape, letter))
 
 
 def apply_word(word: FiringWord, n: int) -> Perm:
@@ -191,12 +221,14 @@ def check_word(word: FiringWord) -> None:
             raise WordError(f"letter {idx} has negative index")
 
 
+def _is_redex(a: FiringLetter, b: FiringLetter) -> bool:
+    # an adjacent pair L_(t-1) R_s with s >= 1, which rewrites to R_(s-1) L_t
+    return a.side == LEFT and b.side == RIGHT and b.index >= 1
+
+
 def is_canonical(word: FiringWord) -> bool:
     """True if no R_s with s >= 1 immediately follows a left letter."""
-    return not any(
-        a.side == LEFT and b.side == RIGHT and b.index >= 1
-        for a, b in zip(word, word[1:])
-    )
+    return not any(_is_redex(a, b) for a, b in zip(word, word[1:]))
 
 
 def canonicalize(word: FiringWord) -> FiringWord:
@@ -213,41 +245,11 @@ def canonicalize(word: FiringWord) -> FiringWord:
         changed = False
         for idx in range(len(letters) - 1):
             a, b = letters[idx], letters[idx + 1]
-            if a.side == LEFT and b.side == RIGHT and b.index >= 1:
+            if _is_redex(a, b):
                 letters[idx] = FiringLetter(RIGHT, b.index - 1)
                 letters[idx + 1] = FiringLetter(LEFT, a.index + 1)
                 changed = True
     return tuple(letters)
-
-
-def canonical_words(n: int) -> list[FiringWord]:
-    """All canonical words of length n-2, in depth-first order.
-
-    There are exactly as many as there are worst-case permutations, and
-    :func:`apply_word` maps them bijectively onto that set.
-    """
-    if n < 2:
-        raise ValueError(f"words need n >= 2, got {n}")
-    length = n - 2
-    out: list[FiringWord] = []
-    prefix: list[FiringLetter] = []
-
-    def extend(lefts: int, rights: int, prev_left: bool) -> None:
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for t in range(rights + 1):
-            prefix.append(FiringLetter(LEFT, t))
-            extend(lefts + 1, rights, True)
-            prefix.pop()
-        r_top = 0 if prev_left else lefts
-        for t in range(r_top + 1):
-            prefix.append(FiringLetter(RIGHT, t))
-            extend(lefts, rights + 1, False)
-            prefix.pop()
-
-    extend(0, 0, False)
-    return out
 
 
 def short_firing_image(n: int) -> set[Perm]:
@@ -270,23 +272,46 @@ def short_firing_image(n: int) -> set[Perm]:
     return states
 
 
+def next_letters(word: FiringWord) -> list[FiringLetter]:
+    """The letters that may follow ``word`` in a valid word: L_t for t up to
+    its number of rights, R_t for t up to its number of lefts."""
+    rights = sum(1 for letter in word if letter.side == RIGHT)
+    lefts = len(word) - rights
+    return [L(t) for t in range(rights + 1)] + [R(t) for t in range(lefts + 1)]
+
+
+def _words(length: int, keep) -> Iterator[FiringWord]:
+    """Depth first, the words of ``length`` letters grown by
+    :func:`next_letters`, keeping a letter when ``keep(prefix, letter)``."""
+    if length == 0:
+        yield ()
+        return
+    for word in _words(length - 1, keep):
+        for letter in next_letters(word):
+            if keep(word, letter):
+                yield word + (letter,)
+
+
+def valid_words(length: int) -> Iterator[FiringWord]:
+    """Every word of ``length`` letters that passes :func:`check_word`,
+    canonical or not."""
+    return _words(length, lambda word, letter: True)
+
+
+def canonical_words(n: int) -> list[FiringWord]:
+    """All canonical words of length n-2, in depth-first order.
+
+    There are exactly as many as there are worst-case permutations, and
+    :func:`apply_word` maps them bijectively onto that set.
+    """
+    if n < 2:
+        raise ValueError(f"words need n >= 2, got {n}")
+    return list(_words(n - 2, lambda word, letter: not (word and _is_redex(word[-1], letter))))
+
+
 def restricted_words(length: int) -> Iterator[FiringWord]:
     """Words of arbitrary lefts and short rights only (every R is R_0)."""
-    prefix: list[FiringLetter] = []
-
-    def extend(rights: int) -> Iterator[FiringWord]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for t in range(rights + 1):
-            prefix.append(FiringLetter(LEFT, t))
-            yield from extend(rights)
-            prefix.pop()
-        prefix.append(FiringLetter(RIGHT, 0))
-        yield from extend(rights + 1)
-        prefix.pop()
-
-    yield from extend(0)
+    return _words(length, lambda word, letter: letter.side == LEFT or letter.index == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The command-line surface: outputs, formats, exit codes, atomic writes."""
 import json
+import re
 
 import pytest
 
-from homing.cli import main
+from homing.cli import FORMATS, main
 
 
 def run_cli(capsys, *argv):
@@ -120,8 +121,56 @@ def test_random_sim_json(capsys):
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "perm-core", "--nmax", "5")
     assert code == 0
-    assert "PASS perm-core/placement-semantics" in out
+    assert "PASS perm-core/placement-semantics (" in out
+    assert re.search(r"^PASS perm-core/inversion \(\d+ cases\)$", out, re.M)
     assert out.strip().endswith("4/4 properties passed")
+
+
+# one small invocation of each subcommand, without --format
+SAMPLE_ARGS = {
+    "sort": ["--perm", "3,1,2"],
+    "trace": ["--perm", "3,1,2"],
+    "height": ["--perm", "3,1,2"],
+    "min-steps": ["--perm", "3,1,2"],
+    "enum-mn": ["--n", "4"],
+    "count-mn": ["--nmax", "5"],
+    "words": ["--n", "4"],
+    "canon": ["--word", "L0,R1"],
+    "bell-bijection": ["--word", "R,L0"],
+    "growth": ["--nmax", "4"],
+    "random-sim": ["--n", "4", "--trials", "20", "--seed", "1"],
+    "verify": ["--suite", "perm-core", "--nmax", "3"],
+}
+
+
+def output_format(out):
+    """Which of the three formats a command's output is written in."""
+    try:
+        if isinstance(json.loads(out), (dict, list)):
+            return "json"
+    except ValueError:
+        pass
+    lines = out.splitlines()
+    if len(lines) >= 2 and re.fullmatch(r"[a-z_]+(,[a-z_]+)*", lines[0]):
+        return "csv"
+    return "text"
+
+
+@pytest.mark.parametrize("command", sorted(FORMATS))
+def test_formats_honoured_or_rejected(command, capsys):
+    default, accepted = FORMATS[command]
+    code, out, _ = run_cli(capsys, command, *SAMPLE_ARGS[command])
+    assert code == 0 and output_format(out) == default
+    for fmt in ("text", "json", "csv"):
+        argv = [command, *SAMPLE_ARGS[command], "--format", fmt]
+        if fmt in accepted:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and output_format(out) == fmt, (command, fmt)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, (command, fmt)
+            assert "invalid choice" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -14,6 +14,7 @@ from homing import (
     swap_ends,
     weight,
 )
+from homing.verify import check_tiebreak, check_weight_range
 
 
 def all_codes(k):
@@ -67,54 +68,14 @@ def test_weight_examples():
     assert weight("++---") == 31  # 2^5 - 1, the maximum for length 5
 
 
-def test_weight_binary_readings_exhaustive():
-    for k in range(0, 11):
-        for bits in itertools.product("0+", repeat=k):
-            code = "".join(bits)
-            assert weight(code) == binary_oracle(code)
-        for bits in itertools.product("0-", repeat=k):
-            code = "".join(bits)
-            assert weight(code) == reverse_binary_oracle(code)
-
-
 @pytest.mark.parametrize("k", range(0, 9))
 def test_weight_range_and_extremes(k):
-    top = (1 << k) - 1
-    for code in all_codes(k):
-        w = weight(code)
-        assert 0 <= w <= top
-        assert (w == 0) == (set(code) <= {"0"})
-        is_plus_minus_block = code == "+" * code.count("+") + "-" * code.count("-") and "0" not in code
-        assert (w == top) == (is_plus_minus_block or k == 0)
+    assert check_weight_range(k, 0).passed
 
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_weight_tiebreak_invariance(k):
-    for code in all_codes(k):
-        assert weight(code, tie="-") == weight(code, tie="+")
-
-
-def test_weight_marking_monotonic_small():
-    for k in range(1, 9):
-        for code in all_codes(k):
-            w = weight(code)
-            for i, ch in enumerate(code):
-                if ch == "0":
-                    for mark in "+-":
-                        assert weight(code[:i] + mark + code[i + 1:]) > w
-
-
-def test_weight_zero_append_small():
-    # prefix with no '+', any suffix: appending a 0 gains at most 2^|suffix| - 1
-    for k in range(0, 9):
-        for code in all_codes(k):
-            w0 = weight(code + "0")
-            w = weight(code)
-            for split in range(k + 1):
-                gamma, delta = code[:split], code[split:]
-                if "+" in gamma:
-                    continue
-                assert w0 <= w + (1 << len(delta)) - 1
+    assert check_tiebreak(k, 0).passed
 
 
 def _random_block_instance(rng):
@@ -172,6 +133,15 @@ def test_strip_trace_sums_to_weight(k):
                 assert ch == "+"
                 assert step.exponent == len(syms) - step.position
             del syms[step.position - 1]
+
+
+@pytest.mark.parametrize("tie", ["", "+-", "-+", "x", "--", " -", "+ "])
+def test_tie_must_be_plus_or_minus(tie):
+    with pytest.raises(ValueError, match="tie"):
+        weight("+-", tie=tie)
+    with pytest.raises(ValueError, match="tie"):
+        strip_trace("+-", tie=tie)
+    assert weight("+-", tie="+") == weight("+-", tie="-") == 3
 
 
 def test_parse_code_rejects():

@@ -1,11 +1,13 @@
 """Recurrence counts, Bell numbers, the heuristic sequence, and growth rows."""
+import importlib.util
+import sys
+import threading
 from fractions import Fraction
-from math import factorial, isclose
+from math import comb, factorial, isclose
 
 import pytest
 
 from homing.counting import (
-    GrowthRow,
     bell_number,
     growth_csv,
     growth_table,
@@ -93,6 +95,45 @@ def oracle_bell(m):
 @pytest.mark.parametrize("m", range(0, 10))
 def test_bell_numbers(m):
     assert bell_number(m) == oracle_bell(m)
+
+
+def _bell_reference(m):
+    """B(0..m) by B(k+1) = sum_i C(k, i) B(i), independent of the triangle."""
+    b = [1]
+    for k in range(m):
+        b.append(sum(comb(k, i) * b[i] for i in range(k + 1)))
+    return b
+
+
+def test_bell_number_is_thread_safe():
+    # eight threads ask a freshly loaded module for B(300) at once, with
+    # thread switches forced as often as the interpreter allows; a table
+    # shared between calls and extended without a lock goes wrong here
+    m = 300
+    expected = [_bell_reference(m)[m]] * 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            spec = importlib.util.find_spec("homing.counting")
+            cold = importlib.util.module_from_spec(spec)  # a fresh copy of the module
+            spec.loader.exec_module(cold)
+            barrier = threading.Barrier(8, timeout=30)
+            results = [None] * 8
+
+            def work(slot):
+                barrier.wait()
+                results[slot] = cold.bell_number(m)
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert results == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_bell_examples():

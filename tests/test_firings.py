@@ -1,7 +1,7 @@
 """Firing blocks, firing words, canonicalization, and the partition bijection."""
-import itertools
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homing import (
     CodeShapeError,
@@ -29,14 +29,17 @@ from homing.firings import (
     format_partition,
     format_word,
     is_canonical,
+    next_letters,
     parse_partition,
     parse_word,
     partition_to_word,
     restricted_words,
     short_firing_image,
+    valid_words,
     word_to_partition,
 )
 from homing.heights import worst_case_permutations
+from homing.verify import check_confluence, check_word_bijection
 
 
 # -- code shapes ---------------------------------------------------------------
@@ -97,10 +100,11 @@ def _reachable_block_states(n, depth):
     return seen
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 8))
 def test_firing_block_contract(n):
     # on every reachable block-shaped state: 2^(k-1) legal displacements,
-    # each raising the weight by exactly one, with the documented code change
+    # each raising the weight by exactly one, with the documented code change,
+    # ending where the splice of fire_left / fire_right lands
     for p in _reachable_block_states(n, n - 2):
         i, k, j = code_shape(code_of(p))
         if k == 0:
@@ -115,6 +119,7 @@ def test_firing_block_contract(n):
                 w2 = weight(code_of(state))
                 assert w2 == w + 1
                 w = w2
+            assert state == (fire_left(p, s) if side == "L" else fire_right(p, s))
             if side == "L":
                 assert code_of(state) == "+" * i + "0" * (k - 1) + "-" * (j + 1)
                 assert state[s - 1] == i + k + 1
@@ -140,6 +145,27 @@ def test_firing_target_validation():
         fire_left(t5, 2)  # only position 1 available while i = 0
     with pytest.raises(WordError):
         fire_right(t5, 4)  # right targets start at i+k+2 = 5
+
+
+# bad input, and the error each call raised while it replayed the block
+@pytest.mark.parametrize(
+    "fire, p, arg, error",
+    [
+        (fire_left, (1, 3, 2, 4), 1, CodeShapeError),  # code "0-" is no block shape
+        (fire_right, (2, 3, 4, 1), 4, CodeShapeError),  # code "--" has no home block
+        (fire_left, swap_ends(5), 0, WordError),
+        (fire_right, swap_ends(5), 6, WordError),
+        (apply_letter, (1, 3, 2, 4), L(0), CodeShapeError),
+        (apply_letter, swap_ends(5), L(1), WordError),  # needs a prior right
+        (apply_letter, swap_ends(5), R(3), WordError),  # lands beyond position n
+        (apply_letter, swap_ends(5), L(-1), WordError),
+        (apply_letter, swap_ends(5), FiringLetter("X", 0), ValueError),
+    ],
+)
+def test_splice_errors(fire, p, arg, error):
+    with pytest.raises(error) as caught:
+        fire(p, arg)
+    assert type(caught.value) is error
 
 
 # -- words -----------------------------------------------------------------------
@@ -170,57 +196,13 @@ def test_canonicalize_example():
     assert not is_canonical(word)
 
 
-def _all_valid_words(length):
-    """Every word satisfying the counting conditions (not just canonical)."""
-    out = []
-
-    def extend(prefix, lefts, rights):
-        if len(prefix) == length:
-            out.append(tuple(prefix))
-            return
-        for t in range(rights + 1):
-            extend(prefix + [FiringLetter("L", t)], lefts + 1, rights)
-        for t in range(lefts + 1):
-            extend(prefix + [FiringLetter("R", t)], lefts, rights + 1)
-
-    extend([], 0, 0)
-    return out
-
-
-def _normal_forms(word):
-    """All fully rewritten forms reachable by any rewrite order."""
-    redexes = [
-        i
-        for i in range(len(word) - 1)
-        if word[i].side == "L" and word[i + 1].side == "R" and word[i + 1].index >= 1
-    ]
-    if not redexes:
-        return {word}
-    forms = set()
-    for i in redexes:
-        rewritten = (
-            word[:i]
-            + (FiringLetter("R", word[i + 1].index - 1), FiringLetter("L", word[i].index + 1))
-            + word[i + 2:]
-        )
-        forms |= _normal_forms(rewritten)
-    return forms
-
-
 @pytest.mark.parametrize("length", range(0, 5))
 def test_canonicalize_confluent_and_invariant(length):
-    n = length + 2
-    for word in _all_valid_words(length):
-        forms = _normal_forms(word)
-        assert len(forms) == 1
-        canon = canonicalize(word)
-        assert forms == {canon}
-        assert is_canonical(canon)
-        assert apply_word(word, n) == apply_word(canon, n)
+    assert check_confluence(length + 2, 0).passed
 
 
 def test_canonical_classes_count_length4():
-    classes = {canonicalize(w) for w in _all_valid_words(4)}
+    classes = {canonicalize(w) for w in valid_words(4)}
     assert len(classes) == 62
     assert classes == set(canonical_words(6))
 
@@ -236,12 +218,31 @@ def test_canonical_word_counts(n, count):
         assert canonicalize(w) == w
 
 
+@st.composite
+def valid_word(draw):
+    """A valid word of 7 to 12 letters, drawn one letter at a time from
+    ``next_letters``."""
+    word = ()
+    for _ in range(draw(st.integers(7, 12))):
+        word += (draw(st.sampled_from(next_letters(word))),)
+    return word
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(valid_word())
+def test_long_words_canonicalize_and_fire(word):
+    n = len(word) + 2
+    canon = canonicalize(word)
+    assert is_canonical(canon) and canonicalize(canon) == canon
+    state = apply_word(word, n)
+    assert apply_word(canon, n) == state
+    code = code_of(state)
+    assert code == "+" * code.count("+") + "-" * code.count("-")
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_words_biject_onto_worst_cases(n):
-    words = canonical_words(n)
-    images = [apply_word(w, n) for w in words]
-    assert len(set(images)) == len(words)
-    assert set(images) == set(worst_case_permutations(n))
+    assert check_word_bijection(n, 0).passed
 
 
 # -- short firings -----------------------------------------------------------------

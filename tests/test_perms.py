@@ -20,7 +20,6 @@ from homing import (
     place,
     placeable_values,
     placement_successors,
-    position_of,
     rank,
     reverse,
     reverse_complement,
@@ -30,6 +29,7 @@ from homing import (
     unrank,
     value_at,
 )
+from homing.verify import check_inversion
 
 
 def oracle_move(p, value, target_pos):
@@ -87,12 +87,7 @@ def test_displace_rejects_bad_moves():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_place_displace_inverse_exhaustively(n):
-    for p in all_perms(n):
-        for move, q in displacement_successors(p):
-            assert place(q, move.value) == p
-        for v in placeable_values(p):
-            q = place(p, v)
-            assert displace(q, v, position_of(p, v)) == p
+    assert check_inversion(n, 0).passed
 
 
 @settings(max_examples=150)

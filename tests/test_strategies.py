@@ -7,7 +7,6 @@ from homing import (
     CapacityError,
     all_perms,
     identity,
-    lis_length,
     place,
     placeable_values,
     rank,
@@ -30,6 +29,7 @@ from homing.strategies import (
     smallest_first_steps,
     unique_worst_case_check,
 )
+from homing.verify import check_extremes_placed_once, check_lis_lower_bound
 
 EXTREMAL = (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL)
 
@@ -80,11 +80,7 @@ def test_extremal_strategies_bounded_and_stage_monotone(n, strategy):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_extremes_placed_at_most_once(n):
-    for p in all_perms(n):
-        for strategy in EXTREMAL + (LEFTMOST_NOT_HOME,):
-            moves = run_strategy(p, strategy).moves
-            assert moves.count(1) <= 1
-            assert moves.count(n) <= 1
+    assert check_extremes_placed_once(n, 0).passed
 
 
 def test_random_strategy_needs_seed():
@@ -155,10 +151,7 @@ def test_min_placements_matches_bfs_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_min_placements_bounds(n):
-    table = min_placements_table(n)
-    for p in all_perms(n):
-        d = table[rank(p)]
-        assert n - lis_length(p) <= d <= n - 1 or (n == 1 and d == 0)
+    assert check_lis_lower_bound(n, 0).passed
 
 
 @pytest.mark.parametrize("n", range(2, 7))
