@@ -42,5 +42,5 @@ for n, ratio, half in prellberg_ratios(30)[-5:]:
     shown = f"{float(ratio):8.3f}" if ratio is not None else "   --   "
     print(f"  n={n:2}: ratio {shown}   n/2 = {float(half):6.1f}")
 print()
-print("(initial conditions are configurable; defaults g1 = g2 = 1)")
+print("(initial conditions g1 = g2 = 1, as in the paper)")
 print(f"worst_case_count(80) has {len(str(worst_case_count(80)))} digits")

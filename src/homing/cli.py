@@ -31,7 +31,7 @@ import tempfile
 from dataclasses import asdict
 
 from .counting import growth_csv, growth_table, worst_case_count
-from .errors import CapacityError, HomingError, ParseError
+from .errors import HomingError, ParseError
 from .firings import (
     canonical_words,
     canonicalize,
@@ -211,7 +211,7 @@ def _cmd_random_sim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite, nmax=args.nmax, cap=args.cap)
+    results = run_suite(args.suite, nmax=args.nmax)
     lines = []
     for r in results:
         status = f"PASS {r.name} ({r.cases} cases)" if r.passed else f"FAIL {r.name}"
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("verify", _cmd_verify, "run the named invariant suites")
     sp.add_argument("--suite", choices=suite_names(), default="all")
     sp.add_argument("--nmax", type=int, default=7, help="scale cap (default 7)")
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     return parser
 
@@ -305,10 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, CapacityError, ValueError) as err:
-        print(f"homing {args.command}: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except HomingError as err:
+    except (HomingError, ValueError) as err:
         print(f"homing {args.command}: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -83,25 +83,22 @@ def bell_number(m: int) -> int:
     return row[-1]
 
 
-def prellberg_sequence(
-    nmax: int, g1: Fraction | int = 1, g2: Fraction | int = 1
-) -> list[Fraction]:
+def prellberg_sequence(nmax: int) -> list[Fraction]:
     """The heuristic comparison sequence g with
-    g(n+1) = n g(n) - (n^2/4) g(n-1), as exact rationals [g1, ..., g(nmax)].
-
-    The initial conditions are configurable; g1 = g2 = 1 by default.
+    g(n+1) = n g(n) - (n^2/4) g(n-1), as exact rationals [g1, ..., g(nmax)],
+    from the paper's initial conditions g1 = g2 = 1.
     """
     if nmax < 2:
         raise ValueError(f"needs nmax >= 2, got {nmax}")
-    seq = [Fraction(g1), Fraction(g2)]
+    seq = [Fraction(1), Fraction(1)]
     for n in range(2, nmax):
         seq.append(n * seq[-1] - Fraction(n * n, 4) * seq[-2])
     return seq
 
 
-def prellberg_ratios(nmax: int, g1: Fraction | int = 1, g2: Fraction | int = 1):
+def prellberg_ratios(nmax: int):
     """Diagnostic rows (n, g(n+1)/g(n), n/2) for the growth heuristic."""
-    seq = prellberg_sequence(nmax, g1, g2)
+    seq = prellberg_sequence(nmax)
     rows = []
     for n in range(1, nmax):
         g_n, g_next = seq[n - 1], seq[n]

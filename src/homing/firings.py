@@ -12,7 +12,9 @@ the moved value lands right next to the home block.
 A firing is applied as one O(n) splice of the state, its net effect.  The
 displacement block itself (:func:`firing_moves`) is kept as the paper's
 construction and as the oracle that ``homing.verify`` replays against the
-splice.
+splice.  :func:`prefix_states` walks the canonical prefixes, firing each
+once, and the checks fire every legal letter from every reachable prefix
+state exactly once on top of that walk.
 
 Recording a left firing into position (i+1)-t as the letter L_t and a
 right firing into position (i+k+2)+t as R_t encodes each schedule as a
@@ -307,6 +309,23 @@ def canonical_words(n: int) -> list[FiringWord]:
     if n < 2:
         raise ValueError(f"words need n >= 2, got {n}")
     return list(_words(n - 2, lambda word, letter: not (word and _is_redex(word[-1], letter))))
+
+
+def prefix_states(n: int) -> dict[FiringWord, Perm]:
+    """Every canonical word of 0..n-2 letters mapped to the state it fires
+    to from swap_ends(n), shortest words first.
+
+    Canonicity and validity are both prefix-closed, so the canonical
+    prefixes of m letters are exactly ``canonical_words(m + 2)``, and each
+    state is one :func:`apply_letter` from its parent prefix's state.
+    """
+    if n < 2:
+        raise ValueError(f"words need n >= 2, got {n}")
+    states = {(): swap_ends(n)}
+    for m in range(1, n - 1):
+        for word in canonical_words(m + 2):
+            states[word] = apply_letter(states[word[:-1]], word[-1])
+    return states
 
 
 def restricted_words(length: int) -> Iterator[FiringWord]:

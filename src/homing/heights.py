@@ -26,9 +26,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityError, CycleError, ParseError
+from .errors import CycleError, ParseError
 from .perms import Perm, identity, rank, unrank
-from .successors import displacement_ranks, layer_bytes, perm_matrix
+from .successors import check_cap, displacement_ranks, perm_matrix
 
 DEFAULT_CAP = 10
 
@@ -40,12 +40,7 @@ _UNKNOWN = -1
 def _check_cap(n: int, cap: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise CapacityError(
-            f"n={n} exceeds the exhaustive cap {cap} ({factorial(n)} states, "
-            f"about {layer_bytes(n) / 1e6:,.0f} MB: n!*(n+5) bytes plus the frontier); "
-            f"raise the cap explicitly to proceed"
-        )
+    check_cap(n, cap)
 
 
 @dataclass(frozen=True)
@@ -223,10 +218,12 @@ def load_height_table(path) -> HeightTable:
         version, n = header[4], header[5]
         if version != _VERSION:
             raise ParseError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(fh.read(), dtype="<i4")
-    if len(data) != factorial(n):
-        raise ParseError(f"{path}: expected {factorial(n)} heights, found {len(data)}")
-    return HeightTable(n, data.astype(np.int32))
+        if n < 1:
+            raise ParseError(f"{path}: n must be >= 1, got {n}")
+        body = fh.read()
+    if len(body) != 4 * factorial(n):
+        raise ParseError(f"{path}: expected {factorial(n)} heights, found {len(body)} bytes")
+    return HeightTable(n, np.frombuffer(body, dtype="<i4").astype(np.int32))
 
 
 def members_json(members: Iterable[Perm]) -> str:

@@ -30,9 +30,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .codes import code_of, weight
-from .errors import CapacityError
 from .perms import Perm, identity, place, placeable_values, rank
-from .successors import displacement_ranks, layer_bytes, perm_matrix
+from .successors import check_cap, displacement_ranks, perm_matrix
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -192,22 +191,13 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
 # shortest sorts
 # ---------------------------------------------------------------------------
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapacityError(
-            f"n={n} exceeds the search cap {cap} ({factorial(n)} states, "
-            f"about {layer_bytes(n) / 1e6:,.0f} MB: n!*(n+5) bytes plus the frontier); "
-            f"raise the cap explicitly to proceed"
-        )
-
-
 def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
     """Fewest placements that sort ``p``, by BFS over the placement digraph.
 
     Always lies between n - lis_length(p) and n - 1.
     """
     n = len(p)
-    _check_cap(n, cap)
+    check_cap(n, cap)
     target = identity(n)
     if p == target:
         return 0
@@ -237,7 +227,7 @@ def min_placements_table(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bytearray:
     One BFS from the identity along displacements covers all states,
     because a displacement is exactly a placement run backwards.
     """
-    _check_cap(n, cap)
+    check_cap(n, cap)
     perms = perm_matrix(n)
     dist = np.full(len(perms), 255, dtype=np.uint8)
     dist[0] = 0  # the identity has rank 0

@@ -19,6 +19,8 @@ from math import factorial
 
 import numpy as np
 
+from .errors import CapacityError
+
 _MAX_RANK_N = 12  # 12! - 1 is the largest rank that fits in int32
 
 
@@ -27,6 +29,17 @@ def layer_bytes(n: int) -> int:
     per-round frontier: the n-column int8 matrix, an int32 result and an
     int8 counter, n!*(n+5) in all."""
     return factorial(n) * (n + 5)
+
+
+def check_cap(n: int, cap: int) -> None:
+    """Refuse an exhaustive pass over S_n beyond ``cap``, before allocating,
+    naming the :func:`layer_bytes` estimate."""
+    if n > cap:
+        raise CapacityError(
+            f"n={n} exceeds the cap {cap} ({factorial(n)} states, "
+            f"about {layer_bytes(n) / 1e6:,.0f} MB: n!*(n+5) bytes plus the frontier); "
+            f"raise the cap explicitly to proceed"
+        )
 
 
 def perm_matrix(n: int) -> np.ndarray:

@@ -18,7 +18,8 @@ the check.  :func:`_property` turns it into a ``Check`` that returns a
 ``nmax`` caps the permutation sizes and code lengths explored; each
 property also carries its own natural ceiling, so ``nmax=7`` keeps every
 suite comfortably under a few seconds while still covering thousands to
-millions of states.
+millions of states.  The library's default caps cover every ceiling, so
+the checks take no cap of their own.
 """
 from __future__ import annotations
 
@@ -37,7 +38,6 @@ from .firings import (
     FiringLetter,
     FiringWord,
     apply_letter,
-    apply_word,
     canonical_words,
     canonicalize,
     check_word,
@@ -46,7 +46,9 @@ from .firings import (
     format_word,
     is_canonical,
     letter_target,
+    next_letters,
     partition_to_word,
+    prefix_states,
     restricted_words,
     short_firing_image,
     valid_words,
@@ -86,18 +88,18 @@ class PropertyResult:
     cases: int = 0  # instances the check asserted on
 
 
-Check = Callable[[int, int], PropertyResult]
+Check = Callable[[int], PropertyResult]
 Cases = Iterator[Optional[str]]
 
 
-def _property(name: str, detail: str = "") -> Callable[[Callable[[int, int], Cases]], Check]:
+def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]], Check]:
     """Run a case generator to its end or to its first counterexample."""
 
-    def wrap(cases_of: Callable[[int, int], Cases]) -> Check:
+    def wrap(cases_of: Callable[[int], Cases]) -> Check:
         @wraps(cases_of)
-        def check(nmax: int, cap: int) -> PropertyResult:
+        def check(nmax: int) -> PropertyResult:
             cases = 0
-            for failure in cases_of(nmax, cap):
+            for failure in cases_of(nmax):
                 if failure is not None:
                     return PropertyResult(name, False, failure, cases)
                 cases += 1
@@ -117,7 +119,7 @@ def _codes(k: int):
 # ---------------------------------------------------------------------------
 
 @_property("perm-core/placement-semantics")
-def check_placement_semantics(nmax: int, cap: int) -> Cases:
+def check_placement_semantics(nmax: int) -> Cases:
     for n in range(1, min(nmax, 6) + 1):
         for p in all_perms(n):
             for v in placeable_values(p):
@@ -130,7 +132,7 @@ def check_placement_semantics(nmax: int, cap: int) -> Cases:
 
 
 @_property("perm-core/inversion")
-def check_inversion(nmax: int, cap: int) -> Cases:
+def check_inversion(nmax: int) -> Cases:
     for n in range(1, min(nmax, 6) + 1):
         for p in all_perms(n):
             for move, q in displacement_successors(p):
@@ -145,7 +147,7 @@ def check_inversion(nmax: int, cap: int) -> Cases:
 
 
 @_property("perm-core/extremes-placed-once")
-def check_extremes_placed_once(nmax: int, cap: int) -> Cases:
+def check_extremes_placed_once(nmax: int) -> Cases:
     strategies = (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL, LEFTMOST_NOT_HOME)
     for n in range(2, min(nmax, 6) + 1):
         for p in all_perms(n):
@@ -157,10 +159,10 @@ def check_extremes_placed_once(nmax: int, cap: int) -> Cases:
 
 
 @_property("perm-core/acyclicity")
-def check_acyclicity(nmax: int, cap: int) -> Cases:
+def check_acyclicity(nmax: int) -> Cases:
     for n in range(1, min(nmax, 7) + 1):
         try:
-            build_height_table(n, cap=max(cap, 7))
+            build_height_table(n)
         except CycleError as err:
             yield str(err)
         yield None
@@ -171,7 +173,7 @@ def check_acyclicity(nmax: int, cap: int) -> Cases:
 # ---------------------------------------------------------------------------
 
 @_property("code-weight/range")
-def check_weight_range(nmax: int, cap: int) -> Cases:
+def check_weight_range(nmax: int) -> Cases:
     for k in range(0, min(nmax, 12) + 1):
         top = (1 << k) - 1
         for code in _codes(k):
@@ -188,7 +190,7 @@ def check_weight_range(nmax: int, cap: int) -> Cases:
 
 
 @_property("code-weight/binary-readings")
-def check_binary_readings(nmax: int, cap: int) -> Cases:
+def check_binary_readings(nmax: int) -> Cases:
     for k in range(0, min(nmax, 12) + 1):
         for bits in itertools.product("0+", repeat=k):
             code = "".join(bits)
@@ -201,7 +203,7 @@ def check_binary_readings(nmax: int, cap: int) -> Cases:
 
 
 @_property("code-weight/tiebreak-invariance")
-def check_tiebreak(nmax: int, cap: int) -> Cases:
+def check_tiebreak(nmax: int) -> Cases:
     for k in range(0, min(nmax, 12) + 1):
         for code in _codes(k):
             yield None if weight(code, tie="-") == weight(code, tie="+") else (
@@ -233,7 +235,7 @@ def _block_splits():
 
 
 @_property("code-weight/block-formula")
-def check_block_formula(nmax: int, cap: int) -> Cases:
+def check_block_formula(nmax: int) -> Cases:
     for beta, p, gamma, q, delta in _block_splits():
         alpha = beta + "+" * p + gamma + "-" * q + delta
         expected = (
@@ -247,7 +249,7 @@ def check_block_formula(nmax: int, cap: int) -> Cases:
 
 
 @_property("code-weight/zero-append")
-def check_zero_append(nmax: int, cap: int) -> Cases:
+def check_zero_append(nmax: int) -> Cases:
     for k in range(0, min(nmax, 10) + 1):
         for code in _codes(k):
             w0 = weight(code + "0")
@@ -261,7 +263,7 @@ def check_zero_append(nmax: int, cap: int) -> Cases:
 
 
 @_property("code-weight/marking-monotonic")
-def check_marking_monotonic(nmax: int, cap: int) -> Cases:
+def check_marking_monotonic(nmax: int) -> Cases:
     for k in range(1, min(nmax, 12) + 1):
         weight_of = lru_cache(maxsize=None)(weight)  # each code of length k once
         for code in _codes(k):
@@ -275,7 +277,7 @@ def check_marking_monotonic(nmax: int, cap: int) -> Cases:
 
 
 @_property("code-weight/displacement-increase")
-def check_displacement_weight_increase(nmax: int, cap: int) -> Cases:
+def check_displacement_weight_increase(nmax: int) -> Cases:
     for n in range(2, min(nmax, 7) + 1):
         for p in all_perms(n):
             if p[0] == 1 or p[-1] == n:
@@ -294,7 +296,7 @@ def check_displacement_weight_increase(nmax: int, cap: int) -> Cases:
 # ---------------------------------------------------------------------------
 
 @_property("strategies/extremal-bound")
-def check_extremal_bound(nmax: int, cap: int) -> Cases:
+def check_extremal_bound(nmax: int) -> Cases:
     for n in range(1, min(nmax, 8) + 1):
         for p in all_perms(n):
             for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
@@ -305,7 +307,7 @@ def check_extremal_bound(nmax: int, cap: int) -> Cases:
 
 
 @_property("strategies/stage-monotone")
-def check_stage_monotone(nmax: int, cap: int) -> Cases:
+def check_stage_monotone(nmax: int) -> Cases:
     for n in range(1, min(nmax, 7) + 1):
         for p in all_perms(n):
             for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
@@ -319,9 +321,9 @@ def check_stage_monotone(nmax: int, cap: int) -> Cases:
 
 
 @_property("strategies/lis-lower-bound")
-def check_lis_lower_bound(nmax: int, cap: int) -> Cases:
+def check_lis_lower_bound(nmax: int) -> Cases:
     for n in range(1, min(nmax, 8) + 1):
-        table = min_placements_table(n, cap=max(cap, 8))
+        table = min_placements_table(n)
         for p in all_perms(n):
             d = table[rank(p)]
             yield None if n - lis_length(p) <= d <= max(n - 1, 0) else (
@@ -330,15 +332,15 @@ def check_lis_lower_bound(nmax: int, cap: int) -> Cases:
 
 
 @_property("strategies/unique-worst-case")
-def check_unique_worst_case(nmax: int, cap: int) -> Cases:
+def check_unique_worst_case(nmax: int) -> Cases:
     for n in range(2, min(nmax, 8) + 1):
-        yield None if unique_worst_case_check(n, cap=max(cap, 8)) else (
+        yield None if unique_worst_case_check(n) else (
             f"n={n}: the reversal is not the only state needing n-1 placements"
         )
 
 
 @_property("strategies/stage-advance-premise")
-def check_stage_advance_premise(nmax: int, cap: int) -> Cases:
+def check_stage_advance_premise(nmax: int) -> Cases:
     for n in range(2, min(nmax, 7) + 1):
         for p in all_perms(n):
             if p == identity(n):
@@ -378,18 +380,18 @@ def forward_eviction_heights(n: int) -> list[int]:
 
 
 @_property("height-map/eviction-duality")
-def check_eviction_duality(nmax: int, cap: int) -> Cases:
+def check_eviction_duality(nmax: int) -> Cases:
     for n in range(1, min(nmax, 6) + 1):
-        table = build_height_table(n, cap=max(cap, 6))
+        table = build_height_table(n)
         yield None if list(table.heights) == forward_eviction_heights(n) else (
             f"n={n}: forward eviction distances disagree"
         )
 
 
 @_property("height-map/max-height")
-def check_max_heights(nmax: int, cap: int) -> Cases:
+def check_max_heights(nmax: int) -> Cases:
     for n in range(1, min(nmax, 8) + 1):
-        table = build_height_table(n, cap=max(cap, 8))
+        table = build_height_table(n)
         if table.max() != (1 << (n - 1)) - 1:
             yield f"max height at n={n} is {table.max()}"
         if table.height_of(rotation(n)) != (1 << (n - 1)) - 1:
@@ -400,14 +402,14 @@ def check_max_heights(nmax: int, cap: int) -> Cases:
 
 
 @_property("height-map/stage1-longest")
-def check_stage1_longest(nmax: int, cap: int) -> Cases:
+def check_stage1_longest(nmax: int) -> Cases:
     for n in range(2, min(nmax, 7) + 1):
-        got = stage1_longest(n, cap=max(cap, 8))
+        got = stage1_longest(n)
         yield None if got == (1 << (n - 2)) - 1 else f"stage1_longest({n}) = {got}"
 
 
 @_property("height-map/weight-certificate")
-def check_weight_certificate(nmax: int, cap: int) -> Cases:
+def check_weight_certificate(nmax: int) -> Cases:
     # with both ends away from home, eviction paths are weight-graded, so no
     # run inside that region can exceed the code weight range 2^(n-2) - 1
     for n in range(2, min(nmax, 6) + 1):
@@ -434,10 +436,10 @@ def check_weight_certificate(nmax: int, cap: int) -> Cases:
 
 
 @_property("height-map/worst-case-code-shape", "converse fails as expected")
-def check_mn_code_shape(nmax: int, cap: int) -> Cases:
+def check_mn_code_shape(nmax: int) -> Cases:
     converse_broken = False
     for n in range(2, min(nmax, 7) + 1):
-        table = build_height_table(n, cap=max(cap, 7))
+        table = build_height_table(n)
         top = (1 << (n - 1)) - 1
         members = set(table.members_at(top))
         for p in members:
@@ -458,52 +460,66 @@ def check_mn_code_shape(nmax: int, cap: int) -> Cases:
 # ---------------------------------------------------------------------------
 
 @_property("firings/step-count-and-weight")
-def check_firing_steps(nmax: int, cap: int) -> Cases:
-    # replays each letter's displacement block, the oracle, one displacement
-    # at a time, and compares where it ends with apply_letter's splice
+def check_firing_steps(nmax: int) -> Cases:
+    # fires every legal letter from every reachable prefix state once: the
+    # letter's displacement block, the oracle, is replayed one displacement
+    # at a time and must end where apply_letter's splice does, with the code
+    # and the landing value the firing promises
     weight_of = lru_cache(maxsize=None)(weight)  # codes of length <= 7 only
     for n in range(3, min(nmax, 9) + 1):
-        for word in canonical_words(n):
-            p = swap_ends(n)
-            for letter in word:
-                k = code_shape(code_of(p))[1]
-                moves = firing_moves(p, letter.side, letter_target(p, letter))
+        for word, p in prefix_states(n).items():
+            if len(word) == n - 2:
+                continue
+            i, k, j = code_shape(code_of(p))
+            for letter in next_letters(word):
+                fired = word + (letter,)
+                s = letter_target(p, letter)
+                moves = firing_moves(p, letter.side, s)
                 if len(moves) != 1 << (k - 1):
-                    yield f"{format_word(word)}: block size {len(moves)}"
-                fired = apply_letter(p, letter)
-                w = weight_of(code_of(p))
+                    yield f"n={n} {format_word(fired)}: block size {len(moves)}"
+                q, code = p, code_of(p)
                 for v, t in moves:
-                    p = displace(p, v, t)
-                    w2 = weight_of(code_of(p))
-                    if w2 != w + 1:
-                        yield f"{format_word(word)}: weight step {w}->{w2}"
-                    w = w2
-                yield None if p == fired else f"{format_word(word)}: splice and cascade disagree"
+                    w = weight_of(code)
+                    q = displace(q, v, t)
+                    code = code_of(q)
+                    if weight_of(code) != w + 1:
+                        yield f"n={n} {format_word(fired)}: weight step {w}->{weight_of(code)}"
+                if letter.side == "L":
+                    after, landed = "+" * i + "0" * (k - 1) + "-" * (j + 1), i + k + 1
+                else:
+                    after, landed = "+" * (i + 1) + "0" * (k - 1) + "-" * j, i + 2
+                if code != after or q[s - 1] != landed:
+                    yield f"n={n} {format_word(fired)}: code {code}, {q[s - 1]} at position {s}"
+                yield None if q == apply_letter(p, letter) else (
+                    f"n={n} {format_word(fired)}: splice and cascade disagree"
+                )
 
 
 @_property("firings/schedule-total")
-def check_schedule_total(nmax: int, cap: int) -> Cases:
+def check_schedule_total(nmax: int) -> Cases:
     for n in range(2, min(nmax, 8) + 1):
-        members = set(worst_case_permutations(n, cap=max(cap, 8)))
-        for word in canonical_words(n):
-            p = swap_ends(n)
-            total = 0
-            for letter in word:
-                total += len(firing_moves(p, letter.side, letter_target(p, letter)))
-                p = apply_letter(p, letter)
-            if total != (1 << (n - 2)) - 1:
-                yield f"{format_word(word)} used {total} displacements"
-            yield None if p in members else f"{format_word(word)} left the worst-case set"
+        members = set(worst_case_permutations(n))
+        states = prefix_states(n)
+        total = {(): 0}  # displacements spent along each prefix
+        for word, p in states.items():
+            if word:
+                parent, letter = states[word[:-1]], word[-1]
+                moves = firing_moves(parent, letter.side, letter_target(parent, letter))
+                total[word] = total[word[:-1]] + len(moves)
+            if len(word) == n - 2:
+                if total[word] != (1 << (n - 2)) - 1:
+                    yield f"{format_word(word)} used {total[word]} displacements"
+                yield None if p in members else f"{format_word(word)} left the worst-case set"
 
 
 @_property("firings/word-bijection")
-def check_word_bijection(nmax: int, cap: int) -> Cases:
+def check_word_bijection(nmax: int) -> Cases:
     for n in range(2, min(nmax, 9) + 1):
-        words = canonical_words(n)
-        images = {apply_word(w, n) for w in words}
-        if len(images) != len(words):
+        ends = [p for word, p in prefix_states(n).items() if len(word) == n - 2]
+        images = set(ends)
+        if len(images) != len(ends):
             yield f"n={n}: words collide"
-        members = set(worst_case_permutations(n, cap=max(cap, 9)))
+        members = set(worst_case_permutations(n))
         if len(images) != len(members):
             yield f"n={n}: image has {len(images)} of {len(members)}"
         for p in images:
@@ -532,20 +548,25 @@ def normal_forms(word: FiringWord) -> set[FiringWord]:
 
 
 @_property("firings/confluence")
-def check_confluence(nmax: int, cap: int) -> Cases:
+def check_confluence(nmax: int) -> Cases:
     for length in range(0, min(max(nmax - 2, 0), 6) + 1):
+        canonical = prefix_states(length + 2)
+        fired = {(): canonical[()]}  # each valid prefix, one letter on from its parent
+        for m in range(1, length + 1):
+            for word in valid_words(m):
+                fired[word] = apply_letter(fired[word[:-1]], word[-1])
         for word in valid_words(length):
             forms = normal_forms(word)
             canon = canonicalize(word)
             if forms != {canon} or not is_canonical(canon):
                 yield f"{format_word(word)} has normal forms {forms}"
-            yield None if apply_word(word, length + 2) == apply_word(canon, length + 2) else (
+            yield None if fired[word] == canonical[canon] else (
                 f"rewrite changed the state of {format_word(word)}"
             )
 
 
 @_property("firings/recurrence-vs-language")
-def check_recurrence_language(nmax: int, cap: int) -> Cases:
+def check_recurrence_language(nmax: int) -> Cases:
     for n in range(2, min(nmax, 9) + 1):
         by_rights = Counter(
             sum(1 for let in w if let.side == "R") for w in canonical_words(n)
@@ -559,18 +580,18 @@ def check_recurrence_language(nmax: int, cap: int) -> Cases:
 
 
 @_property("firings/short-firing-injectivity")
-def check_short_firing_injectivity(nmax: int, cap: int) -> Cases:
+def check_short_firing_injectivity(nmax: int) -> Cases:
     for n in range(2, min(nmax, 9) + 1):
         image = short_firing_image(n)
         if len(image) != 1 << (n - 2):
             yield f"n={n}: image size {len(image)}"
-        members = set(worst_case_permutations(n, cap=max(cap, 9)))
+        members = set(worst_case_permutations(n))
         for p in image:
             yield None if p in members else f"n={n}: image leaves the worst-case set"
 
 
 @_property("firings/partition-roundtrip")
-def check_partition_roundtrip(nmax: int, cap: int) -> Cases:
+def check_partition_roundtrip(nmax: int) -> Cases:
     for length in range(0, min(nmax, 8) + 1):
         seen = set()
         for word in restricted_words(length):
@@ -634,7 +655,7 @@ def suite_names() -> list[str]:
     return ["all", *SUITES]
 
 
-def run_suite(suite: str = "all", nmax: int = 7, cap: int = 10) -> list[PropertyResult]:
+def run_suite(suite: str = "all", nmax: int = 7) -> list[PropertyResult]:
     """Run one named suite (or all of them) and collect the results."""
     if suite == "all":
         checks = [c for group in SUITES.values() for c in group]
@@ -642,4 +663,4 @@ def run_suite(suite: str = "all", nmax: int = 7, cap: int = 10) -> list[Property
         checks = SUITES[suite]
     else:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(suite_names())}")
-    return [check(nmax, cap) for check in checks]
+    return [check(nmax) for check in checks]

@@ -17,7 +17,6 @@ import pytest
 from homing import identity, rotation, swap_ends, verify
 from homing.counting import bell_number, growth_csv, growth_table, worst_case_count
 from homing.firings import apply_word, canonicalize, format_word, parse_word
-from homing.heights import DEFAULT_CAP
 from homing.strategies import LEFTMOST_NOT_HOME, min_placements, random_homing_mean, run_strategy
 
 WORST_CASE_COUNTS = {2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 280, 8: 1440, 9: 8296, 10: 52864}
@@ -27,7 +26,7 @@ RUN_N10 = os.environ.get("HOMING_EXHAUSTIVE_N10") == "1"
 
 def passes(check, nmax):
     """Run one ``homing.verify`` property at a pinned scale; its case count."""
-    result = check(nmax, DEFAULT_CAP)
+    result = check(nmax)
     assert result.passed, f"{result.name}: {result.detail}"
     return result.cases
 
@@ -127,11 +126,13 @@ def test_pinned_eviction_longest():
 
 def test_firing_words_biject_onto_worst_cases():
     """For n <= 9 the canonical words map bijectively onto the worst-case
-    set; every firing spends exactly 2^(k-1) legal displacements, each
-    raising the weight by exactly one, and ends where the splice does."""
+    set.  Every legal letter is fired once from every state a canonical
+    prefix reaches: each firing spends exactly 2^(k-1) legal displacements,
+    each raising the weight by exactly one, and ends where the splice does,
+    with the promised code and landing value."""
     passes(verify.check_word_bijection, 9)
-    passes(verify.check_firing_steps, 9)
-    print("\nPASS firing machinery: words biject onto worst cases for n<=9, unit weight steps")
+    firings = passes(verify.check_firing_steps, 9)
+    print(f"\nPASS firing machinery: words biject onto worst cases for n<=9, unit weight steps on {firings} firings")
 
 
 def test_short_firing_injectivity():

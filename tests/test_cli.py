@@ -187,9 +187,10 @@ def test_usage_errors(capsys):
 
 
 def test_argparse_usage_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    for argv in (["no-such-command"], ["verify", "--cap", "5"]):  # verify takes no cap
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_out_writes_atomically(tmp_path, capsys):

@@ -70,12 +70,12 @@ def test_weight_examples():
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_weight_range_and_extremes(k):
-    assert check_weight_range(k, 0).passed
+    assert check_weight_range(k).passed
 
 
 @pytest.mark.parametrize("k", range(0, 9))
 def test_weight_tiebreak_invariance(k):
-    assert check_tiebreak(k, 0).passed
+    assert check_tiebreak(k).passed
 
 
 def _random_block_instance(rng):

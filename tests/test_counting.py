@@ -159,12 +159,6 @@ def test_prellberg_long_run_exact():
     assert all(isinstance(g, Fraction) for g in seq)
 
 
-def test_prellberg_custom_initial_conditions():
-    seq = prellberg_sequence(4, g1=2, g2=3)
-    assert seq[0] == 2 and seq[1] == 3
-    assert seq[2] == 2 * 3 - Fraction(4, 4) * 2 == 4
-
-
 def test_prellberg_ratios_trend_to_half_n():
     rows = prellberg_ratios(40)
     n, ratio, half = rows[-1]

@@ -8,10 +8,8 @@ from homing import (
     ParseError,
     WordError,
     code_of,
-    displace,
     reverse_complement,
     swap_ends,
-    weight,
 )
 from homing.firings import (
     FiringLetter,
@@ -33,6 +31,7 @@ from homing.firings import (
     parse_partition,
     parse_word,
     partition_to_word,
+    prefix_states,
     restricted_words,
     short_firing_image,
     valid_words,
@@ -75,65 +74,12 @@ def test_full_left_firing_from_gateway(n):
     assert code_of(q) == "0" * (n - 3) + "-"
 
 
-def _firing_targets(p):
-    i, k, j = code_shape(code_of(p))
-    lefts = [("L", s) for s in range(1, i + 2)]
-    rights = [("R", s) for s in range(i + k + 2, len(p) + 1)]
-    return lefts + rights
-
-
-def _reachable_block_states(n, depth):
-    """All states reachable from the gateway by at most ``depth`` firings."""
-    states = {swap_ends(n)}
-    seen = set(states)
-    for _ in range(depth):
-        nxt = set()
-        for p in states:
-            if code_shape(code_of(p))[1] == 0:
-                continue
-            for side, s in _firing_targets(p):
-                q = fire_left(p, s) if side == "L" else fire_right(p, s)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.add(q)
-        states = nxt
-    return seen
-
-
-@pytest.mark.parametrize("n", range(3, 8))
-def test_firing_block_contract(n):
-    # on every reachable block-shaped state: 2^(k-1) legal displacements,
-    # each raising the weight by exactly one, with the documented code change,
-    # ending where the splice of fire_left / fire_right lands
-    for p in _reachable_block_states(n, n - 2):
-        i, k, j = code_shape(code_of(p))
-        if k == 0:
-            continue
-        for side, s in _firing_targets(p):
-            moves = firing_moves(p, side, s)
-            assert len(moves) == 1 << (k - 1)
-            state = p
-            w = weight(code_of(state))
-            for v, t in moves:
-                state = displace(state, v, t)  # raises if illegal
-                w2 = weight(code_of(state))
-                assert w2 == w + 1
-                w = w2
-            assert state == (fire_left(p, s) if side == "L" else fire_right(p, s))
-            if side == "L":
-                assert code_of(state) == "+" * i + "0" * (k - 1) + "-" * (j + 1)
-                assert state[s - 1] == i + k + 1
-            else:
-                assert code_of(state) == "+" * (i + 1) + "0" * (k - 1) + "-" * j
-                assert state[s - 1] == i + 2
-
-
 @pytest.mark.parametrize("n", range(3, 7))
 def test_fire_right_is_mirror_of_fire_left(n):
-    for p in _reachable_block_states(n, n - 3):
-        i, k, j = code_shape(code_of(p))
-        if k == 0:
+    for word, p in prefix_states(n).items():
+        if len(word) == n - 2:
             continue
+        i, k, j = code_shape(code_of(p))
         for s in range(i + k + 2, n + 1):
             mirrored = fire_left(reverse_complement(p), n + 1 - s)
             assert fire_right(p, s) == reverse_complement(mirrored)
@@ -198,7 +144,7 @@ def test_canonicalize_example():
 
 @pytest.mark.parametrize("length", range(0, 5))
 def test_canonicalize_confluent_and_invariant(length):
-    assert check_confluence(length + 2, 0).passed
+    assert check_confluence(length + 2).passed
 
 
 def test_canonical_classes_count_length4():
@@ -241,8 +187,16 @@ def test_long_words_canonicalize_and_fire(word):
 
 
 @pytest.mark.parametrize("n", range(2, 8))
+def test_prefix_states_match_apply_word(n):
+    states = prefix_states(n)
+    assert list(states) == [w for m in range(2, n + 1) for w in canonical_words(m)]
+    for word in canonical_words(n):
+        assert states[word] == apply_word(word, n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
 def test_words_biject_onto_worst_cases(n):
-    assert check_word_bijection(n, 0).passed
+    assert check_word_bijection(n).passed
 
 
 # -- short firings -----------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from homing import (
     CapacityError,
     CycleError,
+    ParseError,
     all_perms,
     code_of,
     identity,
@@ -94,7 +95,7 @@ def test_height_examples():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_eviction_placement_duality(n):
-    assert check_eviction_duality(n, 0).passed
+    assert check_eviction_duality(n).passed
 
 
 def test_worst_case_members():
@@ -178,11 +179,22 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_load_rejects_garbage(tmp_path):
-    from homing import ParseError
-
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE\x01\x05\x00\x00" + b"\x00" * 480)
     with pytest.raises(ParseError, match="magic"):
+        load_height_table(path)
+
+
+def test_load_rejects_every_truncation(tmp_path):
+    path = tmp_path / "h4.bin"
+    save_height_table(build_height_table(4), path)
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ParseError):
+            load_height_table(path)
+    path.write_bytes(b"HOMH\x01\x00\x00\x00" + b"\x00" * 4)  # n = 0, one 0! height
+    with pytest.raises(ParseError, match="n must be >= 1"):
         load_height_table(path)
 
 

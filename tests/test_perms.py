@@ -87,7 +87,7 @@ def test_displace_rejects_bad_moves():
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_place_displace_inverse_exhaustively(n):
-    assert check_inversion(n, 0).passed
+    assert check_inversion(n).passed
 
 
 @settings(max_examples=150)

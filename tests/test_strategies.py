@@ -80,7 +80,7 @@ def test_extremal_strategies_bounded_and_stage_monotone(n, strategy):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_extremes_placed_at_most_once(n):
-    assert check_extremes_placed_once(n, 0).passed
+    assert check_extremes_placed_once(n).passed
 
 
 def test_random_strategy_needs_seed():
@@ -151,7 +151,7 @@ def test_min_placements_matches_bfs_oracle(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_min_placements_bounds(n):
-    assert check_lis_lower_bound(n, 0).passed
+    assert check_lis_lower_bound(n).passed
 
 
 @pytest.mark.parametrize("n", range(2, 7))
