@@ -45,6 +45,7 @@ from .errors import (
     CodeShapeError,
     CycleError,
     HomingError,
+    InputError,
     InvalidMoveError,
     ParseError,
     WordError,
@@ -56,6 +57,7 @@ __all__ = [
     "CycleError",
     "DisplacementMove",
     "HomingError",
+    "InputError",
     "InvalidMoveError",
     "ParseError",
     "Perm",

@@ -14,24 +14,27 @@ Subcommands map one-to-one onto the library:
 - ``random-sim``         seeded Monte Carlo of random homing
 - ``verify``             run the named invariant suites
 
-Exit status: 0 on success, 1 when ``verify`` finds a failure, 2 on usage
-errors (including malformed permutation/word/partition text and a
-``--format`` the subcommand does not accept; see :data:`FORMATS`).  Output is
-byte-deterministic given identical flags and seed.  ``--out FILE`` writes
-atomically (temp file, then rename), so an interrupt never leaves a
-half-written file.
+Exit status: 0 on success, 1 when ``verify`` finds a failure, 2 on bad
+input only: argparse's usage errors (including a ``--format`` the
+subcommand does not accept, see :data:`FORMATS`), :class:`InputError`
+(malformed permutation/word/partition text, an argument out of range, a
+seed given to a strategy that draws nothing) and :class:`CapacityError`.
+Any other exception is a bug and propagates.  Output is byte-deterministic
+given identical flags and seed.  ``--out FILE`` writes atomically through
+:func:`homing.atomic.write_atomic`, so an interrupt never leaves a
+half-written file; ``trace``/``sort`` stream one chunk per block of steps.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict
+from typing import Iterable
 
+from .atomic import write_atomic
 from .counting import growth_csv, growth_table, worst_case_count
-from .errors import HomingError, ParseError
+from .errors import CapacityError, InputError
 from .firings import (
     canonical_words,
     canonicalize,
@@ -46,7 +49,6 @@ from .heights import DEFAULT_CAP, build_height_table, height, members_json
 from .perms import parse_perm
 from .strategies import (
     DEFAULT_SEARCH_CAP,
-    RANDOM,
     STRATEGIES,
     min_placements,
     random_homing_mean,
@@ -75,20 +77,14 @@ FORMATS = {
 }
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to stdout, or atomically to ``out`` one chunk at a
+    time."""
     if out is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".homing-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+    else:
+        write_atomic(out, (chunk.encode() for chunk in chunks))
 
 
 def _scalar(value, label: str, fmt: str) -> str:
@@ -104,25 +100,22 @@ def _scalar(value, label: str, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_trace(args) -> int:
-    p = parse_perm(args.perm)
-    if args.strategy == RANDOM and args.seed is None:
-        raise ParseError("--strategy random requires --seed")
-    trace = run_strategy(p, args.strategy, seed=args.seed)
-    _write_output("".join(line + "\n" for line in trace.lines()), args.out)
+    trace = run_strategy(parse_perm(args.perm), args.strategy, seed=args.seed)
+    _write_output(trace.text_blocks(), args.out)
     return 0
 
 
 def _cmd_height(args) -> int:
     p = parse_perm(args.perm)
     h = height(p, cap=args.cap)
-    _write_output(_scalar(h, "height", args.format), args.out)
+    _write_output([_scalar(h, "height", args.format)], args.out)
     return 0
 
 
 def _cmd_min_steps(args) -> int:
     p = parse_perm(args.perm)
     d = min_placements(p, cap=args.cap)
-    _write_output(_scalar(d, "min_placements", args.format), args.out)
+    _write_output([_scalar(d, "min_placements", args.format)], args.out)
     return 0
 
 
@@ -133,7 +126,7 @@ def _cmd_enum_mn(args) -> int:
         text = "".join(",".join(map(str, p)) + "\n" for p in members)
     else:
         text = members_json(members) + "\n"
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
@@ -143,7 +136,7 @@ def _cmd_count_mn(args) -> int:
         text = json.dumps({str(n): c for n, c in rows}) + "\n"
     else:
         text = "n,mn\n" + "".join(f"{n},{c}\n" for n, c in rows)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
@@ -153,23 +146,23 @@ def _cmd_words(args) -> int:
         text = json.dumps([format_word(w) for w in words]) + "\n"
     else:
         text = "".join(format_word(w) + "\n" for w in words)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
 def _cmd_canon(args) -> int:
     word = canonicalize(parse_word(args.word))
-    _write_output(_scalar(format_word(word), "canonical", args.format), args.out)
+    _write_output([_scalar(format_word(word), "canonical", args.format)], args.out)
     return 0
 
 
 def _cmd_bell_bijection(args) -> int:
     if args.word is not None:
         partition = word_to_partition(parse_word(args.word))
-        _write_output(_scalar(format_partition(partition), "partition", args.format), args.out)
+        _write_output([_scalar(format_partition(partition), "partition", args.format)], args.out)
     else:
         word = partition_to_word(parse_partition(args.partition))
-        _write_output(_scalar(format_word(word, restricted=True), "word", args.format), args.out)
+        _write_output([_scalar(format_word(word, restricted=True), "word", args.format)], args.out)
     return 0
 
 
@@ -179,7 +172,7 @@ def _cmd_growth(args) -> int:
         text = json.dumps([asdict(r) for r in rows]) + "\n"
     else:
         text = growth_csv(rows)
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
@@ -206,7 +199,7 @@ def _cmd_random_sim(args) -> int:
             f"mean={float(est.mean):.6f} (={est.mean}) "
             f"bound={float(est.bound):.6f} max_steps={est.max_steps}\n"
         )
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
@@ -219,13 +212,21 @@ def _cmd_verify(args) -> int:
         lines.append(f"{status}{suffix}\n")
     failures = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failures}/{len(results)} properties passed\n")
-    _write_output("".join(lines), args.out)
+    _write_output(lines, args.out)
     return VERIFY_FAILURE if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+def _verify_nmax(text: str) -> int:
+    # below 3, some checks have no case to assert on
+    nmax = int(text)
+    if nmax < 3:
+        raise argparse.ArgumentTypeError(f"must be at least 3, got {nmax}")
+    return nmax
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="smallest-first",
             help="which value to place next (default: smallest-first)",
         )
-        sp.add_argument("--seed", type=int, help="64-bit seed (required for random)")
+        sp.add_argument("--seed", type=int, help="64-bit seed (random only, and required there)")
 
     sp = add("height", _cmd_height, "longest placement distance to the identity")
     sp.add_argument("--perm", required=True)
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("verify", _cmd_verify, "run the named invariant suites")
     sp.add_argument("--suite", choices=suite_names(), default="all")
-    sp.add_argument("--nmax", type=int, default=7, help="scale cap (default 7)")
+    sp.add_argument("--nmax", type=_verify_nmax, default=7, help="scale cap, at least 3 (default 7)")
 
     return parser
 
@@ -304,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (HomingError, ValueError) as err:
+    except (InputError, CapacityError) as err:
         print(f"homing {args.command}: {err}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .perms import Perm
 
 CODE_ALPHABET = "+-0"
@@ -66,7 +66,7 @@ def parse_code(text: str) -> str:
 
 def _check_tie(tie: str) -> None:
     if tie != "-" and tie != "+":
-        raise ValueError(f"tie must be '+' or '-', got {tie!r}")
+        raise InputError(f"tie must be '+' or '-', got {tie!r}")
 
 
 def _pick(syms: list[str], tie: str) -> tuple[int, int] | None:

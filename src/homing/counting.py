@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial, log
 
+from .errors import InputError
+
 _split_cache: dict[tuple[int, int], int] = {(1, 1): 1}
 
 
@@ -59,7 +61,7 @@ def worst_case_count(n: int) -> int:
     [1, 2, 5, 16, 62, 280]
     """
     if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
+        raise InputError(f"needs n >= 2, got {n}")
     return sum(split_count(i, n - i) for i in range(1, n))
 
 
@@ -73,7 +75,7 @@ def bell_number(m: int) -> int:
     [1, 1, 2, 5, 15, 52]
     """
     if m < 0:
-        raise ValueError(f"needs m >= 0, got {m}")
+        raise InputError(f"needs m >= 0, got {m}")
     row = [1]
     for _ in range(m - 1):
         nxt = [row[-1]]
@@ -89,7 +91,7 @@ def prellberg_sequence(nmax: int) -> list[Fraction]:
     from the paper's initial conditions g1 = g2 = 1.
     """
     if nmax < 2:
-        raise ValueError(f"needs nmax >= 2, got {nmax}")
+        raise InputError(f"needs nmax >= 2, got {nmax}")
     seq = [Fraction(1), Fraction(1)]
     for n in range(2, nmax):
         seq.append(n * seq[-1] - Fraction(n * n, 4) * seq[-2])
@@ -123,7 +125,7 @@ def nth_root(value: int, n: int) -> float:
     """value^(1/n) for an exact positive integer, via log/exp (about 15
     significant digits, far beyond the 12 required)."""
     if value <= 0 or n <= 0:
-        raise ValueError("needs a positive integer and a positive root")
+        raise InputError("needs a positive integer and a positive root")
     return exp(log(value) / n)
 
 
@@ -134,7 +136,7 @@ def growth_table(nmax: int) -> list[GrowthRow]:
     worst-case count sits between the Bell numbers and the factorials.
     """
     if not 2 <= nmax <= 200:
-        raise ValueError(f"nmax must be in 2..200, got {nmax}")
+        raise InputError(f"nmax must be in 2..200, got {nmax}")
     rows = []
     for n in range(2, nmax + 1):
         rows.append(

@@ -5,7 +5,12 @@ class HomingError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(HomingError, ValueError):
+class InputError(HomingError, ValueError):
+    """An argument is out of range or malformed: the caller's input is at
+    fault, never the library.  The CLI reports these with exit code 2."""
+
+
+class ParseError(InputError):
     """A text form (permutation, code, word, partition) is malformed."""
 
 
@@ -21,7 +26,7 @@ class CodeShapeError(HomingError):
     """A firing requires a code of the block form ``+^i 0^k -^j`` with k >= 1."""
 
 
-class WordError(HomingError, ValueError):
+class WordError(InputError):
     """A firing word or set partition violates its validity conditions."""
 
 

@@ -31,7 +31,7 @@ import re
 from typing import Iterator, NamedTuple
 
 from .codes import code_of
-from .errors import CodeShapeError, ParseError, WordError
+from .errors import CodeShapeError, InputError, ParseError, WordError
 from .perms import DisplacementMove, Perm, swap_ends
 
 SetPartition = tuple[tuple[int, ...], ...]
@@ -188,7 +188,7 @@ def apply_word(word: FiringWord, n: int) -> Perm:
     The result always lies in the worst-case set.
     """
     if n < 2:
-        raise ValueError(f"words need n >= 2, got {n}")
+        raise InputError(f"words need n >= 2, got {n}")
     if len(word) != n - 2:
         raise WordError(f"word length {len(word)} does not match n-2 = {n - 2}")
     check_word(word)
@@ -261,7 +261,7 @@ def short_firing_image(n: int) -> set[Perm]:
     exactly 2^(n-2) elements; each lies in the worst-case set.
     """
     if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
+        raise InputError(f"needs n >= 2, got {n}")
     states = {swap_ends(n)}
     for _ in range(n - 2):
         nxt = set()
@@ -307,7 +307,7 @@ def canonical_words(n: int) -> list[FiringWord]:
     :func:`apply_word` maps them bijectively onto that set.
     """
     if n < 2:
-        raise ValueError(f"words need n >= 2, got {n}")
+        raise InputError(f"words need n >= 2, got {n}")
     return list(_words(n - 2, lambda word, letter: not (word and _is_redex(word[-1], letter))))
 
 
@@ -320,7 +320,7 @@ def prefix_states(n: int) -> dict[FiringWord, Perm]:
     state is one :func:`apply_letter` from its parent prefix's state.
     """
     if n < 2:
-        raise ValueError(f"words need n >= 2, got {n}")
+        raise InputError(f"words need n >= 2, got {n}")
     states = {(): swap_ends(n)}
     for m in range(1, n - 1):
         for word in canonical_words(m + 2):

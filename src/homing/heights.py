@@ -26,7 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CycleError, ParseError
+from .atomic import write_atomic
+from .errors import CycleError, InputError, ParseError
 from .perms import Perm, identity, rank, unrank
 from .successors import check_cap, displacement_ranks, perm_matrix
 
@@ -39,7 +40,7 @@ _UNKNOWN = -1
 
 def _check_cap(n: int, cap: int) -> None:
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     check_cap(n, cap)
 
 
@@ -202,11 +203,11 @@ def stage1_longest(n: int, cap: int = DEFAULT_CAP) -> int:
 
 def save_height_table(table: HeightTable, path) -> None:
     """Write the binary table format: HOMH, version, n, 2 reserved bytes,
-    then n! little-endian int32 heights in rank order."""
+    then n! little-endian int32 heights in rank order.
+
+    The write is atomic: an interrupted save leaves any earlier file whole."""
     header = _MAGIC + bytes((_VERSION, table.n, 0, 0))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(table.heights.astype("<i4").tobytes())
+    write_atomic(path, (header, table.heights.astype("<i4").tobytes()))
 
 
 def load_height_table(path) -> HeightTable:

@@ -16,7 +16,7 @@ import itertools
 from bisect import bisect_left
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvalidMoveError, ParseError
+from .errors import InputError, InvalidMoveError, ParseError
 
 Perm = tuple[int, ...]
 
@@ -94,13 +94,13 @@ def swap_ends(n: int) -> Perm:
     (5, 2, 3, 4, 1)
     """
     if n < 2:
-        raise ValueError(f"swap_ends needs n >= 2, got {n}")
+        raise InputError(f"swap_ends needs n >= 2, got {n}")
     return (n,) + tuple(range(2, n)) + (1,)
 
 
 def _check_n(n: int) -> None:
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
 
 
 def all_perms(n: int) -> Iterator[Perm]:

@@ -13,6 +13,14 @@ from the identity along evictions, run in rounds over
 :mod:`homing.successors`: each round ranks every eviction out of the
 frontier at once and keeps the states not reached before.
 
+A trace keeps only its moves.  Its codes, weights and text are computed
+per block of up to ``_BLOCK`` steps: the states are replayed once with
+:func:`homing.perms.place` and packed into a matrix, the codes come from
+one scatter of positions, the weights from the strip recursion run on
+every row at once (:func:`_weights`), and the text from byte tables.
+:func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
+definition, and the tests compare the blocks with them.
+
 All functions are pure given their arguments; the random strategy takes an
 explicit 64-bit seed and uses the Mersenne Twister (``random.Random``) with
 uniform choice among the out-of-place values, so traces are reproducible
@@ -24,12 +32,13 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .codes import code_of, weight
+from .errors import InputError
 from .perms import Perm, identity, place, placeable_values, rank
 from .successors import check_cap, displacement_ranks, perm_matrix
 
@@ -49,6 +58,9 @@ STRATEGIES = (
 
 DEFAULT_SEARCH_CAP = 9
 
+_BLOCK = 1 << 16  # trace steps per block of codes, weights and text
+_CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
+
 
 class TraceStep(NamedTuple):
     step: int
@@ -65,7 +77,8 @@ class Trace:
     """A placement run: the initial state and the values placed, in order.
 
     Intermediate states are replayed on demand rather than stored, so a
-    half-million-step tower-of-Hanoi run stays cheap to hold.
+    half-million-step tower-of-Hanoi run stays cheap to hold.  Codes,
+    weights and text are computed per block of up to ``_BLOCK`` steps.
     """
 
     initial: Perm
@@ -83,28 +96,159 @@ class Trace:
             yield p
 
     def steps(self) -> Iterator[TraceStep]:
-        """Full per-step records, with codes and weights computed lazily."""
-        p = self.initial
-        for i, v in enumerate(self.moves, 1):
-            source = p.index(v) + 1
-            p = place(p, v)
-            c = code_of(p)
-            yield TraceStep(i, v, source, v, p, c, weight(c))
+        """Full per-step records, with codes and weights computed per block."""
+        for b in self._blocks():
+            k = b.code.shape[1]
+            codes = b.code.tobytes().decode()
+            rows = zip(b.values.tolist(), b.sources.tolist(), b.states, b.weights.tolist())
+            for r, (v, source, state, w) in enumerate(rows):
+                yield TraceStep(b.start + r, v, source, v, state, codes[r * k : (r + 1) * k], w)
 
     def lines(self) -> Iterator[str]:
-        """The tab-separated text form, one line per step."""
-        for s in self.steps():
-            yield "\t".join(
+        """The tab-separated text form, one line per step: index, value,
+        source, target, state, code, weight."""
+        for chunk in self.text_blocks():
+            yield from chunk.splitlines()
+
+    def text_blocks(self) -> Iterator[str]:
+        """The lines of :meth:`lines`, each ending in a newline, joined into
+        one string per block of up to ``_BLOCK`` steps."""
+        n = len(self.initial)
+        # every value's text followed by "," or a tab, NUL-padded to a
+        # power-of-two width so that one gather copies a whole cell
+        digits = _digits(np.arange(n + 1))
+        d = digits.shape[1]
+        comma = np.zeros((n + 1, 1 << d.bit_length()), np.uint8)
+        comma[:, :d] = digits
+        tab = comma.copy()
+        comma[:, d], tab[:, d] = ord(","), ord("\t")
+        comma, tab = comma.view(f"V{comma.shape[1]}")[:, 0], tab.view(f"V{tab.shape[1]}")[:, 0]
+        for b in self._blocks():
+            m = len(b.states)
+            state = comma[b.matrix]
+            state[:, -1] = tab[b.matrix[:, -1]]
+            separator = np.full((m, 1), ord("\t"), np.uint8)
+            cells = np.concatenate(
                 (
-                    str(s.step),
-                    str(s.value),
-                    str(s.source),
-                    str(s.target),
-                    ",".join(map(str, s.result)),
-                    s.code,
-                    str(s.weight),
-                )
+                    _digits(np.arange(b.start, b.start + m)),
+                    separator,
+                    tab[np.column_stack((b.values, b.sources, b.values))].view(np.uint8),
+                    state.view(np.uint8),
+                    b.code,
+                    separator,
+                    _digits(b.weights),
+                    np.full((m, 1), ord("\n"), np.uint8),
+                ),
+                axis=1,
             )
+            yield cells.tobytes().translate(None, b"\0").decode()
+
+    def _blocks(self) -> Iterator[_Block]:
+        n = len(self.initial)
+        dtype = np.min_scalar_type(n)
+        home = np.arange(2, n, dtype=dtype)
+        states = self.states()
+        previous = self.initial
+        for start in range(0, len(self.moves), _BLOCK):
+            block = list(islice(states, _BLOCK))
+            m = len(block)
+            # row 0 is the state before the block, rows 1..m the states after each move
+            flat = chain(previous, chain.from_iterable(block))
+            rows = np.fromiter(flat, dtype, count=(m + 1) * n).reshape(m + 1, n)
+            pos = np.empty_like(rows)
+            pos[np.arange(m + 1)[:, None], rows - 1] = np.arange(1, n + 1, dtype=dtype)
+            values = np.array(self.moves[start : start + m], dtype)
+            sources = pos[np.arange(m), values - 1]
+            interior = pos[1:, 1 : n - 1]
+            signs = (interior > home).view(np.int8) - (interior < home).view(np.int8)
+            code = _CODE_SYMBOLS[signs + 1]
+            yield _Block(start + 1, values, sources, block, rows[1:], code, _weights(signs))
+            previous = block[-1]
+
+
+class _Block(NamedTuple):
+    start: int  # step number of the first row
+    values: np.ndarray  # value placed at each step
+    sources: np.ndarray  # position it left
+    states: list[Perm]  # the state after each step
+    matrix: np.ndarray  # the same states, one row each
+    code: np.ndarray  # each state's code, one ASCII symbol per column
+    weights: np.ndarray  # each code's weight
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """The decimal text of non-negative integers: a uint8 array with one
+    more axis, the ASCII digits right-aligned along it and NUL-padded."""
+    width = len(str(values.max(initial=0)))
+    out = np.zeros(values.shape + (width,), np.uint8)
+    out[..., -1] = values % 10 + ord("0")
+    rest = values // 10
+    for d in range(width - 2, -1, -1):
+        out[..., d] = (rest % 10 + ord("0")) * (rest > 0)
+        rest = rest // 10
+    return out
+
+
+def _weights(signs: np.ndarray) -> np.ndarray:
+    """The weight of every row of a matrix of codes (-1, 0, 1 for '-', '0',
+    '+'), by the strip recursion of :func:`homing.codes.weight` run on all
+    rows at once, ties to the '-'.
+
+    The recursion strips only the rightmost '-' or the leftmost '+', so the
+    minuses left in a code are its first ones and the pluses left its last
+    ones: a code's state is how many of each are gone, ``a`` and ``b``.  In
+    the unstripped code, the next '-', at index i, has reach
+    i - min(b, pluses before i) = max(i - b, i - pluses before i), and the
+    next '+', at index j, has reach (k-1-j) - min(a, minuses after j).
+    Each round strips one symbol from every code that has one left.  A
+    weight is below 2^k, so it fits int64 up to k = 63 and is a Python int
+    beyond.
+    """
+    m, k = signs.shape
+    by_index = np.ascontiguousarray(signs.T)  # row c: symbol c of every code
+    column = np.arange(m)
+    minus_total = (by_index < 0).sum(axis=0)
+    # Each code's candidates in stripping order, one table row per rank:
+    # row t of the '-' tables holds its t-th '-' (row 0: none left), row t of
+    # the '+' tables its (t+1)-th '+' (past the last: none left).  The
+    # "_free" tables hold the reach once every symbol that can shorten it is
+    # gone.  "None left" reads a negative reach.  Entries lie in -k-1..k.
+    small = np.min_scalar_type(-k - 1)
+    minus_at = np.full((k + 1, m), -1, small)
+    minus_free = np.full((k + 1, m), -1, small)
+    plus_at = np.full((k + 1, m), -1, small)
+    plus_free = np.full((k + 1, m), -1, small)
+    minuses = np.zeros(m, np.intp)
+    pluses = np.zeros(m, np.intp)
+    for i in range(k):
+        r = np.flatnonzero(by_index[i] < 0)
+        t = minuses[r] + 1
+        minus_at[t, r] = i
+        minus_free[t, r] = i - pluses[r]
+        minuses[r] = t
+        r = np.flatnonzero(by_index[i] > 0)
+        t = pluses[r]
+        plus_at[t, r] = k - 1 - i
+        plus_free[t, r] = k - 1 - i - (minus_total[r] - minuses[r])
+        pluses[r] = t + 1
+    minus_at, minus_free = minus_at.ravel(), minus_free.ravel()
+    plus_at, plus_free = plus_at.ravel(), plus_free.ravel()
+    dtype = np.int64 if k <= 63 else object
+    total = np.zeros(m, dtype)
+    a = np.zeros(m, np.intp)
+    b = np.zeros(m, np.intp)
+    for _ in range(int((minuses + pluses).max(initial=0))):
+        at = (minuses - a) * m + column
+        reach_minus = np.maximum(minus_at[at] - b, minus_free[at])
+        at = b * m + column
+        reach_plus = np.maximum(plus_at[at] - a, plus_free[at])
+        reach = np.maximum(reach_minus, reach_plus)
+        live = reach >= 0
+        strip_minus = live & (reach_minus >= reach_plus)
+        total += live.astype(dtype) << np.maximum(reach, 0).astype(dtype)
+        a += strip_minus
+        b += live ^ strip_minus
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +299,15 @@ _CHOOSERS: dict[str, Callable[[Perm], int]] = {
 def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     """Home ``p`` with the named strategy and return the full trace.
 
-    The random strategy demands an explicit ``seed``.  Every strategy
-    terminates; the step count can never exceed 2^(n-1) - 1.
+    The random strategy demands an explicit ``seed``, and the others, which
+    draw nothing, refuse one.  Every strategy terminates; the step count can
+    never exceed 2^(n-1) - 1.
     """
     initial = p
     n = len(p)
     if strategy == RANDOM:
         if seed is None:
-            raise ValueError("the random strategy requires an explicit seed")
+            raise InputError("the random strategy requires an explicit seed")
         rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
 
         def choose(state: Perm) -> int:
@@ -173,7 +318,9 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
         try:
             choose = _CHOOSERS[strategy]
         except KeyError:
-            raise ValueError(f"unknown strategy {strategy!r}") from None
+            raise InputError(f"unknown strategy {strategy!r}") from None
+        if seed is not None:
+            raise InputError(f"the {strategy} strategy draws nothing, so it takes no seed")
 
     limit = (1 << (n - 1)) - 1 if n >= 1 else 0
     target = identity(n)
@@ -307,9 +454,9 @@ def _trial_seed(seed: int, index: int) -> int:
 def random_homing_mean(n: int, trials: int, seed: int) -> RandomHomingEstimate:
     """Mean random-homing step count over uniform start states (seeded)."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     total = 0
     worst = 0
     base = list(range(1, n + 1))

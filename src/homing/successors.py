@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, InputError
 
 _MAX_RANK_N = 12  # 12! - 1 is the largest rank that fits in int32
 
@@ -54,7 +54,7 @@ def perm_matrix(n: int) -> np.ndarray:
     [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InputError(f"n must be >= 1, got {n}")
     rows = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n + 1):
         block = len(rows)

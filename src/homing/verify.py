@@ -33,7 +33,7 @@ from typing import Callable, Iterator, Optional
 
 from .codes import code_of, weight
 from .counting import bell_number, split_count, worst_case_count
-from .errors import CycleError
+from .errors import CycleError, InputError
 from .firings import (
     FiringLetter,
     FiringWord,
@@ -93,7 +93,8 @@ Cases = Iterator[Optional[str]]
 
 
 def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]], Check]:
-    """Run a case generator to its end or to its first counterexample."""
+    """Run a case generator to its end or to its first counterexample.  A
+    generator that yields no case asserted nothing, which is a failure."""
 
     def wrap(cases_of: Callable[[int], Cases]) -> Check:
         @wraps(cases_of)
@@ -103,6 +104,8 @@ def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]],
                 if failure is not None:
                     return PropertyResult(name, False, failure, cases)
                 cases += 1
+            if not cases:
+                return PropertyResult(name, False, f"no case checked at nmax={nmax}", 0)
             return PropertyResult(name, True, detail, cases)
 
         return check
@@ -662,5 +665,5 @@ def run_suite(suite: str = "all", nmax: int = 7) -> list[PropertyResult]:
     elif suite in SUITES:
         checks = SUITES[suite]
     else:
-        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(suite_names())}")
+        raise InputError(f"unknown suite {suite!r}; choose from {', '.join(suite_names())}")
     return [check(nmax) for check in checks]

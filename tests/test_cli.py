@@ -4,7 +4,9 @@ import re
 
 import pytest
 
+from homing import InputError, ParseError, WordError, cli
 from homing.cli import FORMATS, main
+from homing.strategies import Trace
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,14 @@ def test_random_needs_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_seed_only_with_random(capsys):
+    args = ("trace", "--perm", "3,1,2")
+    code, _, err = run_cli(capsys, *args, "--strategy", "smallest-first", "--seed", "99")
+    assert code == 2 and "takes no seed" in err
+    code, out, _ = run_cli(capsys, *args, "--strategy", "random", "--seed", "99")
+    assert code == 0 and out
+
+
 def test_random_sim(capsys):
     args = ("random-sim", "--n", "6", "--trials", "300", "--seed", "42")
     code, out1, _ = run_cli(capsys, *args)
@@ -191,6 +201,69 @@ def test_argparse_usage_exit_code(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("nmax", ["-1", "0", "1", "2", "x"])
+def test_verify_nmax_below_3_is_usage_error(nmax, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nmax", nmax])
+    assert exc.value.code == 2
+    code, out, _ = run_cli(capsys, "verify", "--suite", "perm-core", "--nmax", "3")
+    assert code == 0 and "(0 cases)" not in out
+
+
+# arguments out of range (parse and cap errors: test_usage_errors), and a
+# word each message must name
+BAD_INPUT = [
+    (["trace", "--perm", "3,1,2", "--strategy", "smallest-first", "--seed", "9"], "seed"),
+    (["words", "--n", "1"], "n >= 2"),
+    (["enum-mn", "--n", "0"], "n must be >= 1"),
+    (["random-sim", "--n", "0", "--seed", "1"], "n must be >= 1"),
+    (["random-sim", "--n", "3", "--trials", "0", "--seed", "1"], "trials"),
+    (["growth", "--nmax", "500"], "2..200"),
+]
+
+
+@pytest.mark.parametrize("argv, needle", BAD_INPUT)
+def test_bad_input_exits_2(argv, needle, capsys):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2 and needle in err
+
+
+def test_library_errors_are_not_usage_errors(monkeypatch):
+    """Only InputError and CapacityError mean bad input; a ValueError from
+    inside the library is a bug and propagates."""
+
+    def broken(p, cap):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "height", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["height", "--perm", "2,1"])
+    # input errors stay ValueErrors for library callers
+    assert issubclass(ParseError, InputError) and issubclass(WordError, InputError)
+    assert issubclass(InputError, ValueError)
+
+
+class Interrupted(BaseException):
+    """Stands in for an interrupt arriving in the middle of a write."""
+
+
+def test_interrupted_out_leaves_the_old_file(tmp_path, monkeypatch):
+    out_file = tmp_path / "trace.txt"
+    out_file.write_text("old\n")
+    whole = Trace.text_blocks
+
+    def cut(self):
+        blocks = whole(self)
+        yield next(blocks)
+        raise Interrupted
+
+    monkeypatch.setattr(Trace, "text_blocks", cut)
+    with pytest.raises(Interrupted):
+        main(["trace", "--perm", "2,3,4,5,1", "--strategy", "leftmost-not-home", "--out", str(out_file)])
+    assert out_file.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.txt"]
 
 
 def test_out_writes_atomically(tmp_path, capsys):

@@ -2,7 +2,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homing import (
     ParseError,
@@ -14,6 +17,7 @@ from homing import (
     swap_ends,
     weight,
 )
+from homing.strategies import _weights
 from homing.verify import check_tiebreak, check_weight_range
 
 
@@ -106,6 +110,42 @@ def test_weight_block_formula_random():
 def test_weight_arbitrary_precision():
     assert weight("+" * 70) == (1 << 70) - 1
     assert weight("-" * 70) == (1 << 70) - 1
+
+
+# -- the trace kernel's weights, against weight() ---------------------------------
+
+def kernel_weights(codes, k):
+    """The weights ``Trace`` computes for a block of codes of length k."""
+    signs = np.array([["-0+".index(c) - 1 for c in code] for code in codes], np.int8)
+    got = _weights(signs.reshape(len(codes), k))
+    assert got.dtype == (np.int64 if k <= 63 else object)  # w < 2^k
+    return got.tolist()
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_kernel_weights_exhaustive(k):
+    codes = list(all_codes(k))
+    expected = [weight(c) for c in codes]
+    assert kernel_weights(codes, k) == expected == [weight(c, tie="+") for c in codes]
+
+
+@pytest.mark.parametrize("k", [40, 62, 63, 64, 100])
+def test_kernel_weights_random_long(k):
+    rng = random.Random(k)
+    codes = ["".join(rng.choice("+-0") for _ in range(k)) for _ in range(300)]
+    codes += ["+" * k, "-" * k, "+" * (k // 2) + "-" * (k - k // 2)]
+    assert kernel_weights(codes, k) == [weight(c) for c in codes]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(0, 90).flatmap(
+        lambda k: st.lists(st.text("+-0", min_size=k, max_size=k), min_size=1, max_size=8)
+    )
+)
+def test_kernel_weights_match_weight(codes):
+    """Lengths 0..90 cross the switch from int64 to Python-int weights."""
+    assert kernel_weights(codes, len(codes[0])) == [weight(c) for c in codes]
 
 
 # -- strip traces ------------------------------------------------------------------

@@ -17,6 +17,7 @@ from homing import (
     rotation,
     swap_ends,
 )
+from homing import heights
 from homing.heights import (
     build_height_table,
     height,
@@ -176,6 +177,38 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_height_table(path)
     assert loaded.n == 5
     assert list(loaded.heights) == list(table.heights)
+
+
+class Interrupted(BaseException):
+    """Stands in for an interrupt arriving in the middle of a save."""
+
+
+def test_interrupted_save_leaves_the_old_table(tmp_path, monkeypatch):
+    path = tmp_path / "h.bin"
+    save_height_table(build_height_table(4), path)
+    before = path.read_bytes()
+    whole = heights.write_atomic
+
+    def cut(target, chunks):
+        def first_chunk_then_interrupt():
+            yield next(iter(chunks))
+            raise Interrupted
+
+        whole(target, first_chunk_then_interrupt())
+
+    monkeypatch.setattr(heights, "write_atomic", cut)
+    with pytest.raises(Interrupted):
+        save_height_table(build_height_table(5), path)
+    assert path.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["h.bin"]
+
+
+def test_save_keeps_the_mode_of_a_plain_write(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    path = tmp_path / "h.bin"
+    save_height_table(build_height_table(3), path)
+    assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_load_rejects_garbage(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from homing import (
     CapacityError,
+    InputError,
     all_perms,
+    code_of,
     identity,
     place,
     placeable_values,
@@ -13,14 +15,18 @@ from homing import (
     reverse,
     rotation,
     stage,
+    weight,
 )
+from homing import strategies
 from homing.strategies import (
     ALTERNATING_EXTREMAL,
     LARGEST_FIRST,
     LEFTMOST_NOT_HOME,
     RANDOM,
     SMALLEST_FIRST,
+    STRATEGIES,
     Trace,
+    TraceStep,
     min_placements,
     min_placements_table,
     random_homing_bound,
@@ -84,8 +90,14 @@ def test_extremes_placed_at_most_once(n):
 
 
 def test_random_strategy_needs_seed():
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(InputError, match="seed"):
         run_strategy(reverse(4), RANDOM)
+
+
+@pytest.mark.parametrize("strategy", EXTREMAL + (LEFTMOST_NOT_HOME,))
+def test_deterministic_strategy_refuses_seed(strategy):
+    with pytest.raises(InputError, match="takes no seed"):
+        run_strategy(reverse(4), strategy, seed=99)
 
 
 def test_random_strategy_reproducible():
@@ -111,6 +123,68 @@ def test_trace_lines_format():
     assert len(first) == 7
     assert first[0] == "1"
     assert first[1] == first[3]  # target position equals the placed value
+
+
+def oracle_steps(trace):
+    """Per-step records built one placement at a time from ``place``,
+    ``code_of`` and ``weight``."""
+    p = trace.initial
+    for i, v in enumerate(trace.moves, 1):
+        source = p.index(v) + 1
+        p = place(p, v)
+        code = code_of(p)
+        yield TraceStep(i, v, source, v, p, code, weight(code))
+
+
+def oracle_line(s):
+    fields = (s.step, s.value, s.source, s.target, ",".join(map(str, s.result)), s.code, s.weight)
+    return "\t".join(map(str, fields))
+
+
+def assert_blocks_match_oracle(trace):
+    expected = list(oracle_steps(trace))
+    assert list(trace.steps()) == expected
+    assert list(trace.lines()) == [oracle_line(s) for s in expected]
+
+
+def runs(n):
+    for p in all_perms(n):
+        for strategy in STRATEGIES:
+            for seed in (1, 2, 3) if strategy == RANDOM else (None,):
+                yield run_strategy(p, strategy, seed=seed)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_blocks_match_per_step_oracle(n):
+    """Every strategy on all of S_n (random under three seeds), including
+    n = 1 and 2, whose codes are empty, and the identity, which has no
+    lines."""
+    for trace in runs(n):
+        assert_blocks_match_oracle(trace)
+    assert list(run_strategy(identity(n), SMALLEST_FIRST).text_blocks()) == []
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_rotation_blocks_match_per_step_oracle(n):
+    trace = run_strategy(rotation(n), LEFTMOST_NOT_HOME)
+    assert_blocks_match_oracle(trace)
+    assert "".join(trace.text_blocks()) == "".join(oracle_line(s) + "\n" for s in oracle_steps(trace))
+
+
+def test_blocks_for_n_above_255():
+    """States no longer fit in a byte, and codes are longer than 63."""
+    p = (6, 5, 4, 3, 2, 1) + tuple(range(7, 300)) + (301, 300)
+    for strategy in (SMALLEST_FIRST, LARGEST_FIRST, LEFTMOST_NOT_HOME):
+        assert_blocks_match_oracle(run_strategy(p, strategy))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_blocks_split_anywhere(block, monkeypatch):
+    """Small blocks put block boundaries at every kind of step."""
+    monkeypatch.setattr(strategies, "_BLOCK", block)
+    assert_blocks_match_oracle(run_strategy(rotation(8), LEFTMOST_NOT_HOME))
+    for trace in runs(4):
+        assert_blocks_match_oracle(trace)
 
 
 # -- shortest sorts ------------------------------------------------------------

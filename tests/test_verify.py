@@ -33,6 +33,24 @@ def test_failure_stops_at_the_first_counterexample():
     assert check_evens.__name__ == "check_evens"
 
 
+def test_a_check_with_no_case_fails():
+    @_property("demo/evens")
+    def check_evens(nmax):
+        for v in range(0, nmax, 2):
+            yield None
+
+    assert check_evens(0) == PropertyResult("demo/evens", False, "no case checked at nmax=0", 0)
+    assert check_evens(1).passed
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2])
+def test_small_nmax_fails_the_checks_it_starves(nmax):
+    results = run_suite("all", nmax=nmax)
+    starved = [r for r in results if r.detail == f"no case checked at nmax={nmax}"]
+    assert starved and not any(r.passed or r.cases for r in starved)
+    assert all(r.cases > 0 for r in results if r.passed)
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
