@@ -27,6 +27,7 @@ from .perms import (
     lis_length,
     parse_perm,
     place,
+    place_inplace,
     placeable_values,
     placement_successors,
     position_of,
@@ -76,6 +77,7 @@ __all__ = [
     "parse_code",
     "parse_perm",
     "place",
+    "place_inplace",
     "placeable_values",
     "placement_successors",
     "position_of",

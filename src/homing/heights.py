@@ -20,6 +20,7 @@ little-endian int32 heights in rank order).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable
@@ -211,7 +212,10 @@ def save_height_table(table: HeightTable, path) -> None:
 
 
 def load_height_table(path) -> HeightTable:
-    """Read a table written by :func:`save_height_table`."""
+    """Read a table written by :func:`save_height_table`.
+
+    The header is checked, and the file's size compared with the size the
+    header implies, before the body is read."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8 or header[:4] != _MAGIC:
@@ -221,9 +225,13 @@ def load_height_table(path) -> HeightTable:
             raise ParseError(f"{path}: unsupported version {version}")
         if n < 1:
             raise ParseError(f"{path}: n must be >= 1, got {n}")
-        body = fh.read()
-    if len(body) != 4 * factorial(n):
-        raise ParseError(f"{path}: expected {factorial(n)} heights, found {len(body)} bytes")
+        expected = 8 + 4 * factorial(n)
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            body = fh.read(expected - 8)
+            size = 8 + len(body)  # short if the file shrank meanwhile
+    if size != expected:
+        raise ParseError(f"{path}: a table for n = {n} is {expected:,} bytes, found {size:,}")
     return HeightTable(n, np.frombuffer(body, dtype="<i4").astype(np.int32))
 
 

@@ -9,12 +9,15 @@ sorting process: think of n numbered balls in a trough.
 balls it passes over shift by one to make room.  ``displace`` is the exact
 inverse: it evicts a value that currently sits at home.  Both are pure
 functions on tuples, so everything here is safe to share across threads.
+``place_inplace`` is the one placement routine: it makes the same move on a
+mutable row (a list, a ``bytearray`` or an ``array.array``), and ``place``
+runs it on a copy.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, MutableSequence, NamedTuple, Sequence
 
 from .errors import InputError, InvalidMoveError, ParseError
 
@@ -142,6 +145,23 @@ def home_values(p: Perm) -> list[int]:
 # the two moves
 # ---------------------------------------------------------------------------
 
+def place_inplace(row: MutableSequence[int], value: int) -> None:
+    """Move ``value`` to its home position in ``row`` itself, shifting what
+    it passes over.
+
+    >>> row = bytearray((4, 1, 3, 5, 2))
+    >>> place_inplace(row, 1)
+    >>> list(row)
+    [1, 4, 3, 5, 2]
+    """
+    pos = row.index(value)
+    home = value - 1
+    if pos == home:
+        raise InvalidMoveError(f"cannot place {value}: already home")
+    del row[pos]
+    row.insert(home, value)
+
+
 def place(p: Perm, value: int) -> Perm:
     """Move ``value`` to its home position, shifting what it passes over.
 
@@ -150,13 +170,8 @@ def place(p: Perm, value: int) -> Perm:
     >>> place((4, 1, 3, 5, 2), 1)
     (1, 4, 3, 5, 2)
     """
-    pos = p.index(value)
-    home = value - 1
-    if pos == home:
-        raise InvalidMoveError(f"cannot place {value}: already home")
     items = list(p)
-    del items[pos]
-    items.insert(home, value)
+    place_inplace(items, value)
     return tuple(items)
 
 

@@ -13,11 +13,13 @@ from the identity along evictions, run in rounds over
 :mod:`homing.successors`: each round ranks every eviction out of the
 frontier at once and keeps the states not reached before.
 
-A trace keeps only its moves.  Its codes, weights and text are computed
-per block of up to ``_BLOCK`` steps: the states are replayed once with
-:func:`homing.perms.place` and packed into a matrix, the codes come from
-one scatter of positions, the weights from the strip recursion run on
-every row at once (:func:`_weights`), and the text from byte tables.
+A run places each state once, with :func:`homing.perms.place_inplace` on
+one packed row, and appends the row to a packed buffer that the trace
+keeps: n bytes per step, or 2n for 256 <= n < 65,536.  Its codes, weights
+and text are computed per block of up to ``_BLOCK`` steps of that buffer,
+read as a matrix: the codes come from one scatter of positions, the
+weights from the strip recursion run on every row at once
+(:func:`_weights`), and the text from byte tables.
 :func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
 definition, and the tests compare the blocks with them.
 
@@ -30,16 +32,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
 from math import factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .perms import Perm, identity, place, placeable_values, rank
+from .perms import Perm, identity, place, place_inplace, placeable_values, rank
 from .successors import check_cap, displacement_ranks, perm_matrix
 
 SMALLEST_FIRST = "smallest-first"
@@ -60,6 +62,7 @@ DEFAULT_SEARCH_CAP = 9
 
 _BLOCK = 1 << 16  # trace steps per block of codes, weights and text
 _CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
+_IDENTITY_ROW = bytes(range(1, 256))  # its first n bytes: the sorted packed row, n < 256
 
 
 class TraceStep(NamedTuple):
@@ -74,33 +77,37 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Trace:
-    """A placement run: the initial state and the values placed, in order.
+    """A placement run: the initial state, the values placed in order, and
+    the final state.
 
-    Intermediate states are replayed on demand rather than stored, so a
-    half-million-step tower-of-Hanoi run stays cheap to hold.  Codes,
-    weights and text are computed per block of up to ``_BLOCK`` steps.
+    Every state is kept, packed one row per state from the initial one on,
+    so the half-million-step tower-of-Hanoi run at n = 20 holds 10.5 MB of
+    rows.  The rows are private: they follow from the public fields, and
+    equality and ``repr`` ignore them.  Codes, weights and text are computed
+    per block of up to ``_BLOCK`` steps.
     """
 
     initial: Perm
     moves: tuple[int, ...]
     final: Perm
+    _rows: bytes = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.moves)
 
     def states(self) -> Iterator[Perm]:
         """The state after each move (``len(self)`` states, ending at final)."""
-        p = self.initial
-        for v in self.moves:
-            p = place(p, v)
-            yield p
+        n = len(self.initial)
+        values = iter(memoryview(self._rows).cast(_row_type(n))[n:])
+        return zip(*[values] * n)  # each tuple takes the next n values
 
     def steps(self) -> Iterator[TraceStep]:
         """Full per-step records, with codes and weights computed per block."""
         for b in self._blocks():
             k = b.code.shape[1]
             codes = b.code.tobytes().decode()
-            rows = zip(b.values.tolist(), b.sources.tolist(), b.states, b.weights.tolist())
+            states = map(tuple, b.matrix.tolist())
+            rows = zip(b.values.tolist(), b.sources.tolist(), states, b.weights.tolist())
             for r, (v, source, state, w) in enumerate(rows):
                 yield TraceStep(b.start + r, v, source, v, state, codes[r * k : (r + 1) * k], w)
 
@@ -124,7 +131,7 @@ class Trace:
         comma[:, d], tab[:, d] = ord(","), ord("\t")
         comma, tab = comma.view(f"V{comma.shape[1]}")[:, 0], tab.view(f"V{tab.shape[1]}")[:, 0]
         for b in self._blocks():
-            m = len(b.states)
+            m = len(b.matrix)
             state = comma[b.matrix]
             state[:, -1] = tab[b.matrix[:, -1]]
             separator = np.full((m, 1), ord("\t"), np.uint8)
@@ -145,16 +152,13 @@ class Trace:
 
     def _blocks(self) -> Iterator[_Block]:
         n = len(self.initial)
-        dtype = np.min_scalar_type(n)
+        all_rows = np.frombuffer(self._rows, _row_type(n)).reshape(-1, n)
+        dtype = all_rows.dtype
         home = np.arange(2, n, dtype=dtype)
-        states = self.states()
-        previous = self.initial
         for start in range(0, len(self.moves), _BLOCK):
-            block = list(islice(states, _BLOCK))
-            m = len(block)
             # row 0 is the state before the block, rows 1..m the states after each move
-            flat = chain(previous, chain.from_iterable(block))
-            rows = np.fromiter(flat, dtype, count=(m + 1) * n).reshape(m + 1, n)
+            rows = all_rows[start : start + _BLOCK + 1]
+            m = len(rows) - 1
             pos = np.empty_like(rows)
             pos[np.arange(m + 1)[:, None], rows - 1] = np.arange(1, n + 1, dtype=dtype)
             values = np.array(self.moves[start : start + m], dtype)
@@ -162,18 +166,21 @@ class Trace:
             interior = pos[1:, 1 : n - 1]
             signs = (interior > home).view(np.int8) - (interior < home).view(np.int8)
             code = _CODE_SYMBOLS[signs + 1]
-            yield _Block(start + 1, values, sources, block, rows[1:], code, _weights(signs))
-            previous = block[-1]
+            yield _Block(start + 1, values, sources, rows[1:], code, _weights(signs))
 
 
 class _Block(NamedTuple):
     start: int  # step number of the first row
     values: np.ndarray  # value placed at each step
     sources: np.ndarray  # position it left
-    states: list[Perm]  # the state after each step
-    matrix: np.ndarray  # the same states, one row each
+    matrix: np.ndarray  # the state after each step, one row each
     code: np.ndarray  # each state's code, one ASCII symbol per column
     weights: np.ndarray  # each code's weight
+
+
+def _row_type(n: int) -> str:
+    """The ``array`` type code of a packed row of n values."""
+    return "B" if n < 256 else "H" if n < 65536 else "I"
 
 
 def _digits(values: np.ndarray) -> np.ndarray:
@@ -255,11 +262,11 @@ def _weights(signs: np.ndarray) -> np.ndarray:
 # choosers
 # ---------------------------------------------------------------------------
 
-def _choose_smallest(p: Perm) -> int:
+def _choose_smallest(p: Sequence[int]) -> int:
     return min(placeable_values(p))
 
 
-def _choose_largest(p: Perm) -> int:
+def _choose_largest(p: Sequence[int]) -> int:
     return max(placeable_values(p))
 
 
@@ -269,7 +276,7 @@ def _remainder_is_reverse(p: Perm) -> bool:
     return len(rem) >= 2 and all(a > b for a, b in zip(rem, rem[1:]))
 
 
-def _choose_alternating(p: Perm) -> int:
+def _choose_alternating(p: Sequence[int]) -> int:
     # Place 1 or n (the extremal candidates), preferring whichever leaves a
     # non-reverse remainder; ties go to the smaller value.
     vals = placeable_values(p)
@@ -281,14 +288,14 @@ def _choose_alternating(p: Perm) -> int:
     return lo
 
 
-def _choose_leftmost(p: Perm) -> int:
+def _choose_leftmost(p: Sequence[int]) -> int:
     for pos, v in enumerate(p, 1):
         if v != pos:
             return v
     raise AssertionError("no out-of-place value in a non-identity state")
 
 
-_CHOOSERS: dict[str, Callable[[Perm], int]] = {
+_CHOOSERS: dict[str, Callable[[Sequence[int]], int]] = {
     SMALLEST_FIRST: _choose_smallest,
     LARGEST_FIRST: _choose_largest,
     ALTERNATING_EXTREMAL: _choose_alternating,
@@ -303,14 +310,13 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     draw nothing, refuse one.  Every strategy terminates; the step count can
     never exceed 2^(n-1) - 1.
     """
-    initial = p
     n = len(p)
     if strategy == RANDOM:
         if seed is None:
             raise InputError("the random strategy requires an explicit seed")
         rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
 
-        def choose(state: Perm) -> int:
+        def choose(state: Sequence[int]) -> int:
             candidates = placeable_values(state)
             return candidates[rng.randrange(len(candidates))]
 
@@ -322,16 +328,26 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
         if seed is not None:
             raise InputError(f"the {strategy} strategy draws nothing, so it takes no seed")
 
-    limit = (1 << (n - 1)) - 1 if n >= 1 else 0
-    target = identity(n)
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    limit = (1 << (n - 1)) - 1
+    kind = _row_type(n)
+    if kind == "B":
+        state, target = bytearray(p), _IDENTITY_ROW[:n]
+    else:
+        state, target = array(kind, p), array(kind, identity(n))
+    rows = state[:]
     moves = []
-    while p != target:
-        v = choose(p)
-        p = place(p, v)
+    for _ in range(limit + 1):
+        if state == target:
+            break
+        v = choose(state)
+        place_inplace(state, v)
+        rows += state
         moves.append(v)
-        if len(moves) > limit:
-            raise AssertionError("homing exceeded its proven step bound")
-    return Trace(initial, tuple(moves), p)
+    else:
+        raise AssertionError("homing exceeded its proven step bound")
+    return Trace(p, tuple(moves), tuple(state), bytes(rows))
 
 
 # ---------------------------------------------------------------------------

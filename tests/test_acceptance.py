@@ -59,16 +59,21 @@ def test_gateway_height(tables):
 
 def test_hanoi_trace():
     """Leftmost-not-home on the rotation takes exactly 2^(n-1) - 1 legal
-    steps for n = 2..20; the half-million-step n=20 run stays under 10s."""
+    steps for n = 2..20; the half-million-step n=20 run and one pass over
+    its text stay under 10s together."""
     for n in range(2, 20):
         assert len(run_strategy(rotation(n), LEFTMOST_NOT_HOME)) == (1 << (n - 1)) - 1
     start = time.perf_counter()
-    trace = run_strategy(rotation(20), LEFTMOST_NOT_HOME)  # every place() validates
+    trace = run_strategy(rotation(20), LEFTMOST_NOT_HOME)  # every placement validates
+    lines = sum(chunk.count("\n") for chunk in trace.text_blocks())
     elapsed = time.perf_counter() - start
-    assert len(trace) == (1 << 19) - 1 == 524287
+    assert len(trace) == lines == (1 << 19) - 1 == 524287
     assert trace.final == identity(20)
     assert elapsed < 10.0
-    print(f"\nPASS hanoi trace: 2^(n-1)-1 steps for n=2..20 (n=20: 524287 steps in {elapsed:.1f}s)")
+    print(
+        f"\nPASS hanoi trace: 2^(n-1)-1 steps for n=2..20 "
+        f"(n=20: 524287 steps and their text in {elapsed:.1f}s)"
+    )
 
 
 def test_fast_homing_exhaustive():

@@ -105,12 +105,11 @@ def _bell_reference(m):
     return b
 
 
-def test_bell_number_is_thread_safe():
-    # eight threads ask a freshly loaded module for B(300) at once, with
-    # thread switches forced as often as the interpreter allows; a table
-    # shared between calls and extended without a lock goes wrong here
-    m = 300
-    expected = [_bell_reference(m)[m]] * 8
+def _race(call, expected):
+    """Eight threads call ``call(module, slot)`` on a freshly loaded copy of
+    ``homing.counting`` at once, with thread switches forced as often as
+    the interpreter allows, ten times over; a table shared between calls
+    and extended without a lock goes wrong here."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -123,7 +122,7 @@ def test_bell_number_is_thread_safe():
 
             def work(slot):
                 barrier.wait()
-                results[slot] = cold.bell_number(m)
+                results[slot] = call(cold, slot)
 
             threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
             for t in threads:
@@ -134,6 +133,36 @@ def test_bell_number_is_thread_safe():
             assert results == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_bell_number_is_thread_safe():
+    m = 300
+    _race(lambda module, slot: module.bell_number(m), [_bell_reference(m)[m]] * 8)
+
+
+def _split_reference(s):
+    """f(i, j) for i + j <= s by the recurrence, in a fresh table."""
+    f = [[0] * (s + 1) for _ in range(s + 1)]
+    f[1][1] = 1
+    for total in range(3, s + 1):
+        for i in range(1, total):
+            j = total - i
+            f[i][j] = i * f[i][j - 1] + j * f[i - 1][j] - (i - 1) * (j - 1) * f[i - 1][j - 1]
+    return f
+
+
+def test_split_count_is_thread_safe():
+    # the threads fill the module's shared table of f(i, j) together: each
+    # asks for the worst-case count of its own n, then for one split count
+    f = _split_reference(80)
+    expected = [
+        (sum(f[i][n - i] for i in range(1, n)), f[slot + 1][40])
+        for slot, n in enumerate(range(73, 81))
+    ]
+    _race(
+        lambda module, slot: (module.worst_case_count(73 + slot), module.split_count(slot + 1, 40)),
+        expected,
+    )
 
 
 def test_bell_examples():

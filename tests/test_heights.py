@@ -1,6 +1,7 @@
 """Height tables, worst-case sets, and the pinned-eviction bound."""
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -229,6 +230,44 @@ def test_load_rejects_every_truncation(tmp_path):
     path.write_bytes(b"HOMH\x01\x00\x00\x00" + b"\x00" * 4)  # n = 0, one 0! height
     with pytest.raises(ParseError, match="n must be >= 1"):
         load_height_table(path)
+
+
+def test_load_rejects_corrupt_headers(tmp_path):
+    path = tmp_path / "h4.bin"
+    save_height_table(build_height_table(4), path)
+    raw = path.read_bytes()  # 8 + 4 * 4! = 104 bytes
+
+    def rejects(data, match):
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=match):
+            load_height_table(path)
+
+    for i in range(4):
+        flipped = bytearray(raw)
+        flipped[i] ^= 0xFF
+        rejects(flipped, "bad magic")
+    for version in set(range(256)) - {1}:
+        rejects(raw[:4] + bytes((version,)) + raw[5:], f"unsupported version {version}$")
+    rejects(raw[:5] + b"\x00" + raw[6:], "n must be >= 1")
+    rejects(raw + b"\x00", "n = 4 is 104 bytes, found 105$")
+    rejects(raw[:-1], "n = 4 is 104 bytes, found 103$")
+    path.write_bytes(raw)
+    assert list(load_height_table(path).heights) == list(build_height_table(4).heights)
+
+
+def test_load_rejects_an_oversized_file_before_reading_it(tmp_path):
+    # a valid n = 5 header followed by 64 MiB (sparse on disk) of garbage
+    path = tmp_path / "big.bin"
+    with open(path, "wb") as fh:
+        fh.write(b"HOMH\x01\x05\x00\x00")
+        fh.truncate(1 << 26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="n = 5 is 488 bytes, found 67,108,864$"):
+            load_height_table(path)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_members_json():

@@ -1,5 +1,6 @@
 """Placement/displacement semantics, checked against list-surgery oracles."""
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from homing import (
     lis_length,
     parse_perm,
     place,
+    place_inplace,
     placeable_values,
     placement_successors,
     rank,
@@ -67,6 +69,21 @@ def test_place_matches_oracle_exhaustively(n):
             assert sorted(q) == sorted(p)
             # all other values keep their relative order
             assert [x for x in q if x != v] == [x for x in p if x != v]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("row_type", [list, bytearray, lambda p: array("H", p)])
+def test_place_inplace_matches_oracle_exhaustively(n, row_type):
+    for p in all_perms(n):
+        for v in range(1, n + 1):
+            row = row_type(p)
+            if p[v - 1] == v:
+                with pytest.raises(InvalidMoveError, match="already home"):
+                    place_inplace(row, v)
+                assert tuple(row) == p  # a refused move leaves the row alone
+            else:
+                assert place_inplace(row, v) is None
+                assert tuple(row) == oracle_move(p, v, v)
 
 
 # -- displacements ----------------------------------------------------------

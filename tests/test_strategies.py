@@ -115,6 +115,16 @@ def test_unknown_strategy_rejected():
         run_strategy((2, 1), "bogus")
 
 
+def test_traces_compare_by_their_public_fields():
+    a = run_strategy(rotation(6), LEFTMOST_NOT_HOME)
+    b = run_strategy(rotation(6), LEFTMOST_NOT_HOME)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != run_strategy(rotation(6), SMALLEST_FIRST)
+    assert repr(a) == (
+        f"Trace(initial={a.initial!r}, moves={a.moves!r}, final={a.final!r})"
+    )
+
+
 def test_trace_lines_format():
     t = run_strategy((4, 1, 3, 5, 2), SMALLEST_FIRST)
     lines = list(t.lines())
@@ -142,9 +152,16 @@ def oracle_line(s):
 
 
 def assert_blocks_match_oracle(trace):
+    """Steps, lines, states and the final state, each read from the packed
+    rows, against ``place`` replaying the moves from the initial state."""
     expected = list(oracle_steps(trace))
-    assert list(trace.steps()) == expected
+    steps = list(trace.steps())
+    assert steps == expected
     assert list(trace.lines()) == [oracle_line(s) for s in expected]
+    states = list(trace.states())
+    assert states == [s.result for s in expected]
+    assert all(type(v) is int for p in states + [s.result for s in steps] for v in p)
+    assert trace.final == (expected[-1].result if expected else trace.initial)
 
 
 def runs(n):
@@ -176,6 +193,17 @@ def test_blocks_for_n_above_255():
     p = (6, 5, 4, 3, 2, 1) + tuple(range(7, 300)) + (301, 300)
     for strategy in (SMALLEST_FIRST, LARGEST_FIRST, LEFTMOST_NOT_HOME):
         assert_blocks_match_oracle(run_strategy(p, strategy))
+
+
+@pytest.mark.parametrize("n, row_bytes", [(255, 1), (256, 2), (65535, 2), (65536, 4)])
+def test_packed_row_widths(n, row_bytes):
+    """A run keeps one packed row per state, initial included, at n bytes
+    a row below n = 256, 2n below 65,536 and 4n beyond."""
+    p = (2, 1) + tuple(range(3, n + 1))
+    trace = run_strategy(p, SMALLEST_FIRST)
+    assert trace.moves == (1,)
+    assert list(trace.states()) == [trace.final] == [identity(n)]
+    assert len(trace._rows) == 2 * n * row_bytes
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 64])
