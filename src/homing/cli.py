@@ -59,6 +59,10 @@ from .verify import run_suite, suite_names
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
+_WORDS_MAX_N = 11  # 368,848 words; n = 12 would hold 2,794,864
+_WORD_BYTES = 290  # measured peak bytes per word held while listing them
+_COUNT_MAX_N = 200  # the ceiling growth tables share
+
 # subcommand -> (default --format, the formats it accepts); argparse rejects
 # any other format with exit code 2
 FORMATS = {
@@ -131,6 +135,8 @@ def _cmd_enum_mn(args) -> int:
 
 
 def _cmd_count_mn(args) -> int:
+    if not 2 <= args.nmax <= _COUNT_MAX_N:
+        raise InputError(f"nmax must be in 2..{_COUNT_MAX_N}, got {args.nmax}")
     rows = [(n, worst_case_count(n)) for n in range(2, args.nmax + 1)]
     if args.format == "json":
         text = json.dumps({str(n): c for n, c in rows}) + "\n"
@@ -141,6 +147,12 @@ def _cmd_count_mn(args) -> int:
 
 
 def _cmd_words(args) -> int:
+    if args.n > _WORDS_MAX_N:
+        count = worst_case_count(args.n)
+        raise CapacityError(
+            f"n={args.n} exceeds the cap {_WORDS_MAX_N} ({count:,} words, about "
+            f"{count * _WORD_BYTES / 1e6:,.0f} MB at {_WORD_BYTES} bytes a word)"
+        )
     words = canonical_words(args.n)
     if args.format == "json":
         text = json.dumps([format_word(w) for w in words]) + "\n"

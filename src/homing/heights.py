@@ -165,37 +165,11 @@ def stage1_longest(n: int, cap: int = DEFAULT_CAP) -> int:
     displace value 1 nor insert at position 1.  With 1 pinned, the rest is
     an eviction process on n-1 values, so the answer is 2^(n-2) - 1; any
     longer run must have moved both end values.
+
+    Read off the height table: ranks below (n-1)! are the states with 1 in
+    front, which no placement leaves, so their heights are these runs.
     """
-    _check_cap(n, cap - 1)
-    memo: dict[Perm, int] = {}
-
-    def successors(p: Perm) -> list[Perm]:
-        out = []
-        for v in range(2, n + 1):
-            if p[v - 1] != v:
-                continue
-            for target in range(2, n + 1):
-                if target == v:
-                    continue
-                items = list(p)
-                del items[v - 1]
-                items.insert(target - 1, v)
-                out.append(tuple(items))
-        return out
-
-    def longest(p: Perm) -> int:
-        cached = memo.get(p)
-        if cached is not None:
-            return cached
-        best = 0
-        for q in successors(p):
-            d = 1 + longest(q)
-            if d > best:
-                best = d
-        memo[p] = best
-        return best
-
-    return longest(identity(n))
+    return int(build_height_table(n, cap).heights[: factorial(n - 1)].max())
 
 
 # ---------------------------------------------------------------------------

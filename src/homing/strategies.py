@@ -17,9 +17,9 @@ A run places each state once, with :func:`homing.perms.place_inplace` on
 one packed row, and appends the row to a packed buffer that the trace
 keeps: n bytes per step, or 2n for 256 <= n < 65,536.  Its codes, weights
 and text are computed per block of up to ``_BLOCK`` steps of that buffer,
-read as a matrix: the codes come from one scatter of positions, the
-weights from the strip recursion run on every row at once
-(:func:`_weights`), and the text from byte tables.
+read as a matrix: one scatter gives the positions, the weight kernel of
+:mod:`homing.successors` the codes and weights (:func:`code_signs`,
+:func:`code_weights`), and byte tables the text.
 :func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
 definition, and the tests compare the blocks with them.
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InputError
 from .perms import Perm, identity, place, place_inplace, placeable_values, rank
-from .successors import check_cap, displacement_ranks, perm_matrix
+from .successors import check_cap, code_signs, code_weights, displacement_ranks, perm_matrix
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -60,7 +60,7 @@ STRATEGIES = (
 
 DEFAULT_SEARCH_CAP = 9
 
-_BLOCK = 1 << 16  # trace steps per block of codes, weights and text
+_BLOCK = 1 << 14  # trace steps per block of codes, weights and text
 _CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
 _IDENTITY_ROW = bytes(range(1, 256))  # its first n bytes: the sorted packed row, n < 256
 
@@ -154,7 +154,6 @@ class Trace:
         n = len(self.initial)
         all_rows = np.frombuffer(self._rows, _row_type(n)).reshape(-1, n)
         dtype = all_rows.dtype
-        home = np.arange(2, n, dtype=dtype)
         for start in range(0, len(self.moves), _BLOCK):
             # row 0 is the state before the block, rows 1..m the states after each move
             rows = all_rows[start : start + _BLOCK + 1]
@@ -163,10 +162,9 @@ class Trace:
             pos[np.arange(m + 1)[:, None], rows - 1] = np.arange(1, n + 1, dtype=dtype)
             values = np.array(self.moves[start : start + m], dtype)
             sources = pos[np.arange(m), values - 1]
-            interior = pos[1:, 1 : n - 1]
-            signs = (interior > home).view(np.int8) - (interior < home).view(np.int8)
+            signs = code_signs(pos[1:])
             code = _CODE_SYMBOLS[signs + 1]
-            yield _Block(start + 1, values, sources, rows[1:], code, _weights(signs))
+            yield _Block(start + 1, values, sources, rows[1:], code, code_weights(signs))
 
 
 class _Block(NamedTuple):
@@ -194,68 +192,6 @@ def _digits(values: np.ndarray) -> np.ndarray:
         out[..., d] = (rest % 10 + ord("0")) * (rest > 0)
         rest = rest // 10
     return out
-
-
-def _weights(signs: np.ndarray) -> np.ndarray:
-    """The weight of every row of a matrix of codes (-1, 0, 1 for '-', '0',
-    '+'), by the strip recursion of :func:`homing.codes.weight` run on all
-    rows at once, ties to the '-'.
-
-    The recursion strips only the rightmost '-' or the leftmost '+', so the
-    minuses left in a code are its first ones and the pluses left its last
-    ones: a code's state is how many of each are gone, ``a`` and ``b``.  In
-    the unstripped code, the next '-', at index i, has reach
-    i - min(b, pluses before i) = max(i - b, i - pluses before i), and the
-    next '+', at index j, has reach (k-1-j) - min(a, minuses after j).
-    Each round strips one symbol from every code that has one left.  A
-    weight is below 2^k, so it fits int64 up to k = 63 and is a Python int
-    beyond.
-    """
-    m, k = signs.shape
-    by_index = np.ascontiguousarray(signs.T)  # row c: symbol c of every code
-    column = np.arange(m)
-    minus_total = (by_index < 0).sum(axis=0)
-    # Each code's candidates in stripping order, one table row per rank:
-    # row t of the '-' tables holds its t-th '-' (row 0: none left), row t of
-    # the '+' tables its (t+1)-th '+' (past the last: none left).  The
-    # "_free" tables hold the reach once every symbol that can shorten it is
-    # gone.  "None left" reads a negative reach.  Entries lie in -k-1..k.
-    small = np.min_scalar_type(-k - 1)
-    minus_at = np.full((k + 1, m), -1, small)
-    minus_free = np.full((k + 1, m), -1, small)
-    plus_at = np.full((k + 1, m), -1, small)
-    plus_free = np.full((k + 1, m), -1, small)
-    minuses = np.zeros(m, np.intp)
-    pluses = np.zeros(m, np.intp)
-    for i in range(k):
-        r = np.flatnonzero(by_index[i] < 0)
-        t = minuses[r] + 1
-        minus_at[t, r] = i
-        minus_free[t, r] = i - pluses[r]
-        minuses[r] = t
-        r = np.flatnonzero(by_index[i] > 0)
-        t = pluses[r]
-        plus_at[t, r] = k - 1 - i
-        plus_free[t, r] = k - 1 - i - (minus_total[r] - minuses[r])
-        pluses[r] = t + 1
-    minus_at, minus_free = minus_at.ravel(), minus_free.ravel()
-    plus_at, plus_free = plus_at.ravel(), plus_free.ravel()
-    dtype = np.int64 if k <= 63 else object
-    total = np.zeros(m, dtype)
-    a = np.zeros(m, np.intp)
-    b = np.zeros(m, np.intp)
-    for _ in range(int((minuses + pluses).max(initial=0))):
-        at = (minuses - a) * m + column
-        reach_minus = np.maximum(minus_at[at] - b, minus_free[at])
-        at = b * m + column
-        reach_plus = np.maximum(plus_at[at] - a, plus_free[at])
-        reach = np.maximum(reach_minus, reach_plus)
-        live = reach >= 0
-        strip_minus = live & (reach_minus >= reach_plus)
-        total += live.astype(dtype) << np.maximum(reach, 0).astype(dtype)
-        a += strip_minus
-        b += live ^ strip_minus
-    return total
 
 
 # ---------------------------------------------------------------------------

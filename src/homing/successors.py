@@ -1,16 +1,19 @@
 """The successor layer for S_n: all permutations as one int8 matrix, ranked
-in bulk.
+and weighed in bulk.
 
 Row r of :func:`perm_matrix` is the permutation of rank r (see
 :func:`homing.perms.rank`).  :func:`rank_rows` ranks many rows at once, and
-:func:`displacement_ranks` ranks every eviction out of a batch of rows, so
-a search over the placement digraph handles one whole frontier per numpy
-call instead of one state per Python loop.  The exhaustive passes in
-:mod:`homing.heights` and :mod:`homing.strategies` both run on it.
+:func:`displacement_ranks` ranks every eviction out of a batch of rows
+(:func:`displacement_sources` names the row each leaves), so a search over
+the placement digraph handles one whole frontier per numpy call instead of
+one state per Python loop.  :func:`code_signs` and :func:`code_weights`
+are the weight kernel, the code and weight of many states at once.  Height
+and BFS tables, traces and the lemma checks all run on this layer;
+:mod:`homing.codes` stays the definition of codes and weights.
 
-The layer lives apart from :mod:`homing.perms` so that the tuple-level API
-stays importable without numpy.  Everything here is pure; the one cache
-holds read-only index arrays.
+The layer lives apart from :mod:`homing.perms` and :mod:`homing.codes` so
+that the tuple-level API stays importable without numpy.  Everything here
+is pure; the one cache holds read-only index arrays.
 """
 from __future__ import annotations
 
@@ -117,3 +120,92 @@ def displacement_ranks(rows: np.ndarray) -> np.ndarray:
         for v, order in enumerate(_eviction_orders(n), 1)
     ]
     return rank_rows(np.concatenate(moved))
+
+
+def displacement_sources(rows: np.ndarray) -> np.ndarray:
+    """The index into ``rows`` of the row each entry of
+    :func:`displacement_ranks` evicts from, in the same order.
+
+    >>> displacement_sources(perm_matrix(3)[:2]).tolist()  # 1,2,3 has 3 homes, 1,3,2 one
+    [0, 0, 1, 1, 0, 0, 0, 0]
+    """
+    n = rows.shape[1]
+    return np.concatenate(
+        [np.repeat(np.flatnonzero(rows[:, v - 1] == v), n - 1) for v in range(1, n + 1)]
+    )
+
+
+def code_signs(positions: np.ndarray) -> np.ndarray:
+    """The code of every row of a matrix of positions, where column v-1
+    holds the position of value v: one int8 per interior value 2..n-1,
+    1 for '+' (right of home), -1 for '-' (left of it), 0 for '0'.
+
+    >>> code_signs(np.array([[4, 2, 1, 3]])).tolist()  # positions of 3,2,4,1
+    [[0, -1]]
+    """
+    n = positions.shape[1]
+    interior = positions[:, 1 : n - 1]
+    home = np.arange(2, n, dtype=positions.dtype)
+    return (interior > home).view(np.int8) - (interior < home).view(np.int8)
+
+
+def code_weights(signs: np.ndarray) -> np.ndarray:
+    """The weight of every row of a matrix of codes (-1, 0, 1 for '-', '0',
+    '+'), by the strip recursion of :func:`homing.codes.weight` run on all
+    rows at once, ties to the '-'.
+
+    The recursion strips only the rightmost '-' or the leftmost '+', so the
+    minuses left in a code are its first ones and the pluses left its last
+    ones: a code's state is how many of each are gone, ``a`` and ``b``.  In
+    the unstripped code, the next '-', at index i, has reach
+    i - min(b, pluses before i) = max(i - b, i - pluses before i), and the
+    next '+', at index j, has reach (k-1-j) - min(a, minuses after j).
+    Each round strips one symbol from every code that has one left.  A
+    weight is below 2^k, so it fits int64 up to k = 63 and is a Python int
+    beyond.
+    """
+    m, k = signs.shape
+    by_index = np.ascontiguousarray(signs.T)  # row c: symbol c of every code
+    column = np.arange(m)
+    minus_total = (by_index < 0).sum(axis=0)
+    # Each code's candidates in stripping order, one table row per rank:
+    # row t of the '-' tables holds its t-th '-' (row 0: none left), row t of
+    # the '+' tables its (t+1)-th '+' (past the last: none left).  The
+    # "_free" tables hold the reach once every symbol that can shorten it is
+    # gone.  "None left" reads a negative reach.  Entries lie in -k-1..k.
+    small = np.min_scalar_type(-k - 1)
+    minus_at = np.full((k + 1, m), -1, small)
+    minus_free = np.full((k + 1, m), -1, small)
+    plus_at = np.full((k + 1, m), -1, small)
+    plus_free = np.full((k + 1, m), -1, small)
+    minuses = np.zeros(m, np.intp)
+    pluses = np.zeros(m, np.intp)
+    for i in range(k):
+        r = np.flatnonzero(by_index[i] < 0)
+        t = minuses[r] + 1
+        minus_at[t, r] = i
+        minus_free[t, r] = i - pluses[r]
+        minuses[r] = t
+        r = np.flatnonzero(by_index[i] > 0)
+        t = pluses[r]
+        plus_at[t, r] = k - 1 - i
+        plus_free[t, r] = k - 1 - i - (minus_total[r] - minuses[r])
+        pluses[r] = t + 1
+    minus_at, minus_free = minus_at.ravel(), minus_free.ravel()
+    plus_at, plus_free = plus_at.ravel(), plus_free.ravel()
+    dtype = np.int64 if k <= 63 else object
+    total = np.zeros(m, dtype)
+    a = np.zeros(m, np.intp)
+    b = np.zeros(m, np.intp)
+    for _ in range(int((minuses + pluses).max(initial=0))):
+        at = (minuses - a) * m + column
+        reach_minus = np.maximum(minus_at[at] - b, minus_free[at])
+        at = b * m + column
+        reach_plus = np.maximum(plus_at[at] - a, plus_free[at])
+        reach = np.maximum(reach_minus, reach_plus)
+        live = reach >= 0
+        strip_minus = live & (reach_minus >= reach_plus)
+        total += live.astype(dtype) << np.maximum(reach, 0).astype(dtype)
+        a += strip_minus
+        b += live ^ strip_minus
+    return total

@@ -12,8 +12,10 @@ per-displacement firing cascade against the splice, and so on).
 
 Each check is written as a generator that yields once per case: ``None``
 when the case holds, or a description of the counterexample, which ends
-the check.  :func:`_property` turns it into a ``Check`` that returns a
-:class:`PropertyResult` carrying the number of cases.
+the check.  A check that asserts on a whole array at once yields the
+number of cases the array held instead (0 adds none).  :func:`_property`
+turns it into a ``Check`` that returns a :class:`PropertyResult` carrying
+the number of cases.
 
 ``nmax`` caps the permutation sizes and code lengths explored; each
 property also carries its own natural ceiling, so ``nmax=7`` keeps every
@@ -29,7 +31,9 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial
 from functools import lru_cache, wraps
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Union
+
+import numpy as np
 
 from .codes import code_of, weight
 from .counting import bell_number, split_count, worst_case_count
@@ -78,6 +82,13 @@ from .strategies import (
     run_strategy,
     unique_worst_case_check,
 )
+from .successors import (
+    code_signs,
+    code_weights,
+    displacement_ranks,
+    displacement_sources,
+    perm_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -89,21 +100,22 @@ class PropertyResult:
 
 
 Check = Callable[[int], PropertyResult]
-Cases = Iterator[Optional[str]]
+Cases = Iterator[Union[None, str, int]]
 
 
 def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]], Check]:
-    """Run a case generator to its end or to its first counterexample.  A
-    generator that yields no case asserted nothing, which is a failure."""
+    """Run a case generator to its end or to its first counterexample.  An
+    int yield counts as that many cases.  A generator that yields no case
+    asserted nothing, which is a failure."""
 
     def wrap(cases_of: Callable[[int], Cases]) -> Check:
         @wraps(cases_of)
         def check(nmax: int) -> PropertyResult:
             cases = 0
-            for failure in cases_of(nmax):
-                if failure is not None:
-                    return PropertyResult(name, False, failure, cases)
-                cases += 1
+            for outcome in cases_of(nmax):
+                if isinstance(outcome, str):
+                    return PropertyResult(name, False, outcome, cases)
+                cases += 1 if outcome is None else outcome
             if not cases:
                 return PropertyResult(name, False, f"no case checked at nmax={nmax}", 0)
             return PropertyResult(name, True, detail, cases)
@@ -113,8 +125,18 @@ def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]],
     return wrap
 
 
-def _codes(k: int):
-    return ("".join(c) for c in itertools.product("+-0", repeat=k))
+def _code_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every code of length k as a row of signs, in ``itertools.product("+-0")``
+    order, and the kernel's weight of each.  Row r reads r in base 3, digits
+    0, 1, 2 for '+', '-', '0'."""
+    signs = np.empty((3**k, k), np.int8)
+    for i in range(k):  # symbol i: '+', '-', '0' in runs of 3^(k-1-i) rows
+        signs.reshape(3**i, 3, -1, k)[..., i] = [[1], [-1], [0]]
+    return signs, code_weights(signs)
+
+
+def _text(signs: np.ndarray) -> str:
+    return "".join("-0+"[s + 1] for s in signs.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -178,40 +200,42 @@ def check_acyclicity(nmax: int) -> Cases:
 @_property("code-weight/range")
 def check_weight_range(nmax: int) -> Cases:
     for k in range(0, min(nmax, 12) + 1):
+        signs, w = _code_table(k)
         top = (1 << k) - 1
-        for code in _codes(k):
-            w = weight(code)
-            if not 0 <= w <= top:
-                yield f"w({code}) = {w} outside 0..{top}"
-            if (w == 0) != (set(code) <= {"0"}):
-                yield f"w({code}) = 0 mischaracterized"
-            block = "+" * code.count("+") + "-" * code.count("-")
-            hits_max = code == block and ("0" not in code or k == 0)
-            if (w == top) != hits_max:
-                yield f"w({code}) = {w} vs max form"
-            yield None
+        bad = np.flatnonzero((w < 0) | (w > top))
+        if len(bad):
+            yield f"w({_text(signs[bad[0]])}) = {w[bad[0]]} outside 0..{top}"
+        if np.flatnonzero(w == 0).tolist() != [3**k - 1]:  # the all-'0' code
+            yield f"w = 0 mischaracterized at k={k}"
+        # the maximum: +^a -^(k-a), whose row reads (3^(k-a) - 1) / 2
+        if np.flatnonzero(w == top).tolist() != [(3**j - 1) // 2 for j in range(k + 1)]:
+            yield f"w = {top} vs max form at k={k}"
+        yield len(w)
 
 
 @_property("code-weight/binary-readings")
 def check_binary_readings(nmax: int) -> Cases:
     for k in range(0, min(nmax, 12) + 1):
-        for bits in itertools.product("0+", repeat=k):
-            code = "".join(bits)
-            expected = int(code.replace("+", "1"), 2) if code else 0
-            yield None if weight(code) == expected else f"w({code}) != binary {expected}"
-        for bits in itertools.product("0-", repeat=k):
-            code = "".join(bits)
-            expected = int(code[::-1].replace("-", "1"), 2) if code else 0
-            yield None if weight(code) == expected else f"w({code}) != reverse binary {expected}"
+        signs, w = _code_table(k)
+        bits = 1 << np.arange(k - 1, -1, -1)
+        # codes over {0,+} read as binary with '+' as 1, over {0,-} reversed
+        readings = (1, "binary", (signs > 0) @ bits), (-1, "reverse binary", (signs < 0) @ bits[::-1])
+        for sign, reading, value in readings:
+            rows = np.flatnonzero((signs != -sign).all(axis=1))
+            bad = rows[w[rows] != value[rows]]
+            if len(bad):
+                yield f"w({_text(signs[bad[0]])}) != {reading} {value[bad[0]]}"
+            yield len(rows)
 
 
 @_property("code-weight/tiebreak-invariance")
 def check_tiebreak(nmax: int) -> Cases:
+    # also ties the kernel, which the other code-weight checks read, to the definition
     for k in range(0, min(nmax, 12) + 1):
-        for code in _codes(k):
-            yield None if weight(code, tie="-") == weight(code, tie="+") else (
-                f"tie-break changes w({code})"
-            )
+        codes = map("".join, itertools.product("+-0", repeat=k))
+        for code, w in zip(codes, _code_table(k)[1].tolist()):
+            ties = weight(code, tie="-"), weight(code, tie="+")
+            yield None if ties == (w, w) else f"w({code}) is {ties} under the two ties, {w} by the kernel"
 
 
 def _block_splits():
@@ -253,45 +277,50 @@ def check_block_formula(nmax: int) -> Cases:
 
 @_property("code-weight/zero-append")
 def check_zero_append(nmax: int) -> Cases:
-    for k in range(0, min(nmax, 10) + 1):
-        for code in _codes(k):
-            w0 = weight(code + "0")
-            w = weight(code)
-            for split in range(k + 1):
-                if "+" in code[:split]:
-                    continue
-                if w0 > w + (1 << (k - split)) - 1:
-                    yield f"w({code}0) too large for split at {split}"
-            yield None
+    # w(alpha 0) <= w(alpha) + 2^(k - split) - 1 for every split with no '+'
+    # before it; the split at the first '+' (or at k) binds
+    for k in range(0, min(nmax, 11) + 1):
+        signs, w = _code_table(k)
+        w0 = code_weights(np.pad(signs, ((0, 0), (0, 1))))  # alpha 0
+        split = ((signs > 0).cumsum(axis=1) == 0).sum(axis=1)  # symbols before the first '+'
+        bad = np.flatnonzero(w0 > w + (1 << (k - split)) - 1)
+        if len(bad):
+            yield f"w({_text(signs[bad[0]])}0) too large for split at {split[bad[0]]}"
+        yield len(w)
 
 
 @_property("code-weight/marking-monotonic")
 def check_marking_monotonic(nmax: int) -> Cases:
     for k in range(1, min(nmax, 12) + 1):
-        weight_of = lru_cache(maxsize=None)(weight)  # each code of length k once
-        for code in _codes(k):
-            w = weight_of(code)
-            for i, ch in enumerate(code):
-                if ch != "0":
-                    continue
-                for mark in "+-":
-                    marked = code[:i] + mark + code[i + 1:]
-                    yield None if weight_of(marked) > w else f"w({marked}) <= w({code})"
+        signs, w = _code_table(k)
+        for i in range(k):
+            zero = np.flatnonzero(signs[:, i] == 0)
+            step = 3 ** (k - 1 - i)
+            for marked in zero - 2 * step, zero - step:  # a '+', a '-' at index i
+                bad = np.flatnonzero(w[marked] <= w[zero])
+                if len(bad):
+                    yield f"w({_text(signs[marked[bad[0]]])}) <= w({_text(signs[zero[bad[0]]])})"
+                yield len(zero)
 
 
 @_property("code-weight/displacement-increase")
 def check_displacement_weight_increase(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 7) + 1):
-        for p in all_perms(n):
-            if p[0] == 1 or p[-1] == n:
-                continue
-            w = weight(code_of(p))
-            for move, q in displacement_successors(p):
-                w2 = weight(code_of(q))
-                yield None if w2 > w else (
-                    f"displace {move.value}->{move.target} on {format_perm(p)}: "
-                    f"weight {w} -> {w2}"
-                )
+    # the set with both ends away from home is closed under eviction, and
+    # every eviction inside it raises the weight
+    for n in range(2, min(nmax, 9) + 1):
+        rows = perm_matrix(n)
+        pos = np.empty_like(rows)  # the inverse of each row
+        pos[np.arange(len(rows))[:, None], rows - 1] = np.arange(1, n + 1, dtype=np.int8)
+        w = code_weights(code_signs(pos))
+        away = (rows[:, 0] != 1) & (rows[:, -1] != n)
+        starts = rows[away]
+        sources = np.flatnonzero(away)[displacement_sources(starts)]
+        targets = displacement_ranks(starts)
+        bad = np.flatnonzero(~away[targets] | (w[targets] <= w[sources]))
+        if len(bad):
+            p, q = (format_perm(tuple(rows[r].tolist())) for r in (sources[bad[0]], targets[bad[0]]))
+            yield f"displace {p} -> {q}: weight {w[sources[bad[0]]]} -> {w[targets[bad[0]]]}"
+        yield len(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +435,7 @@ def check_max_heights(nmax: int) -> Cases:
 
 @_property("height-map/stage1-longest")
 def check_stage1_longest(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 7) + 1):
+    for n in range(2, min(nmax, 9) + 1):
         got = stage1_longest(n)
         yield None if got == (1 << (n - 2)) - 1 else f"stage1_longest({n}) = {got}"
 
@@ -423,8 +452,6 @@ def check_weight_certificate(nmax: int) -> Cases:
                 return memo[p]
             best = 0
             for _, q in displacement_successors(p):
-                if q[0] == 1 or q[-1] == len(q):
-                    continue
                 best = max(best, 1 + longest(q))
             memo[p] = best
             return best

@@ -102,31 +102,33 @@ def test_random_homing_bound():
 
 
 def test_weight_calculus_exhaustive():
-    """All 3^k codes for k <= 10: range and extremes, the two binary
-    readings, tie-break invariance, the block formula, the zero-append
-    bound, and strict increase under marking a 0.  Zero failures."""
-    checked = passes(verify.check_weight_range, 10)
-    for check in (verify.check_binary_readings, verify.check_tiebreak, verify.check_zero_append, verify.check_marking_monotonic):
-        passes(check, 10)
-    block_checked = passes(verify.check_block_formula, 10)
+    """All 3^k codes for k <= 12: range and extremes, the two binary
+    readings and strict increase under marking a 0; the zero-append bound
+    for k <= 11; tie-break invariance, and the weight kernel equal to the
+    definition, for k <= 10; and the block formula.  Zero failures."""
+    checked = passes(verify.check_weight_range, 12)
+    for check in (verify.check_binary_readings, verify.check_zero_append, verify.check_marking_monotonic):
+        passes(check, 12)
+    tied = passes(verify.check_tiebreak, 10)
+    block_checked = passes(verify.check_block_formula, 12)
     print(
-        f"\nPASS weight calculus: {checked} codes (k<=10) and "
-        f"{block_checked} block decompositions, zero failures"
+        f"\nPASS weight calculus: {checked} codes (k<=12), {tied} against the "
+        f"definition (k<=10) and {block_checked} block decompositions, zero failures"
     )
 
 
 def test_displacement_raises_weight_exhaustive():
     """With both end values away from home, every displacement strictly
-    raises the code weight; exhaustive for n <= 7."""
-    checked = passes(verify.check_displacement_weight_increase, 7)
-    print(f"\nPASS displacement weight increase: {checked} moves checked, n<=7")
+    raises the code weight, and keeps both ends away; exhaustive for n <= 9."""
+    checked = passes(verify.check_displacement_weight_increase, 9)
+    print(f"\nPASS displacement weight increase: {checked} moves checked, n<=9")
 
 
 def test_pinned_eviction_longest():
     """Evicting while the value 1 never moves allows exactly 2^(n-2) - 1
-    steps, for n = 3..7: the full maximum needs both ends in play."""
-    passes(verify.check_stage1_longest, 7)
-    print("\nPASS pinned eviction: longest run fixing value 1 is 2^(n-2)-1 for n=3..7")
+    steps, for n = 2..9: the full maximum needs both ends in play."""
+    passes(verify.check_stage1_longest, 9)
+    print("\nPASS pinned eviction: longest run fixing value 1 is 2^(n-2)-1 for n=2..9")
 
 
 def test_firing_words_biject_onto_worst_cases():

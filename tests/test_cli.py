@@ -221,6 +221,9 @@ BAD_INPUT = [
     (["random-sim", "--n", "0", "--seed", "1"], "n must be >= 1"),
     (["random-sim", "--n", "3", "--trials", "0", "--seed", "1"], "trials"),
     (["growth", "--nmax", "500"], "2..200"),
+    (["count-mn", "--nmax", "1"], "2..200"),
+    (["count-mn", "--nmax", "800"], "2..200"),
+    (["words", "--n", "12"], "2,794,864 words, about 811 MB"),
 ]
 
 

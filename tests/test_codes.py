@@ -17,7 +17,7 @@ from homing import (
     swap_ends,
     weight,
 )
-from homing.strategies import _weights
+from homing.successors import code_weights
 from homing.verify import check_tiebreak, check_weight_range
 
 
@@ -112,12 +112,12 @@ def test_weight_arbitrary_precision():
     assert weight("-" * 70) == (1 << 70) - 1
 
 
-# -- the trace kernel's weights, against weight() ---------------------------------
+# -- the weight kernel, against weight() ------------------------------------------
 
 def kernel_weights(codes, k):
-    """The weights ``Trace`` computes for a block of codes of length k."""
+    """The kernel's weights for a batch of codes of length k."""
     signs = np.array([["-0+".index(c) - 1 for c in code] for code in codes], np.int8)
-    got = _weights(signs.reshape(len(codes), k))
+    got = code_weights(signs.reshape(len(codes), k))
     assert got.dtype == (np.int64 if k <= 63 else object)  # w < 2^k
     return got.tolist()
 

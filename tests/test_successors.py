@@ -4,8 +4,15 @@ from math import factorial
 import numpy as np
 import pytest
 
-from homing import all_perms, displacement_successors, rank, unrank
-from homing.successors import displacement_ranks, perm_matrix, rank_rows
+from homing import all_perms, code_of, displacement_successors, rank, unrank, weight
+from homing.successors import (
+    code_signs,
+    code_weights,
+    displacement_ranks,
+    displacement_sources,
+    perm_matrix,
+    rank_rows,
+)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -29,6 +36,30 @@ def test_displacement_ranks_match_successors(n):
     assert sorted(displacement_ranks(rows).tolist()) == sorted(
         rank(q) for p in all_perms(n) for _, q in displacement_successors(p)
     )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_displacement_sources_pair_with_ranks(n):
+    """Each eviction's source row and target rank, as one edge multiset."""
+    rows = perm_matrix(n)
+    edges = sorted(zip(displacement_sources(rows).tolist(), displacement_ranks(rows).tolist()))
+    assert edges == sorted(
+        (rank(p), rank(q)) for p in all_perms(n) for _, q in displacement_successors(p)
+    )
+    # sources index the batch given, not S_n
+    batch = rows[1::2]
+    edges = zip(displacement_sources(batch).tolist(), displacement_ranks(batch).tolist())
+    assert sorted((1 + 2 * s, r) for s, r in edges) == sorted(
+        (rank(p), rank(q)) for p in list(all_perms(n))[1::2] for _, q in displacement_successors(p)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_kernel_weighs_every_state(n):
+    positions = np.array([[p.index(v) + 1 for v in range(1, n + 1)] for p in all_perms(n)], np.int8)
+    signs = code_signs(positions)
+    assert signs.dtype == np.int8 and signs.shape == (factorial(n), max(n - 2, 0))
+    assert code_weights(signs).tolist() == [weight(code_of(p)) for p in all_perms(n)]
 
 
 def test_rank_rows_rejects_ranks_beyond_int32():

@@ -1,7 +1,17 @@
 """The invariant suites themselves run clean at a small scale."""
+import numpy as np
 import pytest
 
-from homing.verify import SUITES, PropertyResult, _property, run_suite, suite_names
+from homing import all_perms, code_of, displacement_successors, rank, weight
+from homing.successors import code_signs, code_weights, displacement_ranks, displacement_sources, perm_matrix
+from homing.verify import (
+    SUITES,
+    PropertyResult,
+    _property,
+    check_displacement_weight_increase,
+    run_suite,
+    suite_names,
+)
 
 
 def test_suite_names():
@@ -33,6 +43,22 @@ def test_failure_stops_at_the_first_counterexample():
     assert check_evens.__name__ == "check_evens"
 
 
+def test_an_int_yield_counts_that_many_cases():
+    @_property("demo/batches")
+    def check_batches(nmax):
+        for size in range(nmax):
+            yield size
+        yield None
+
+    assert check_batches(4) == PropertyResult("demo/batches", True, "", 0 + 1 + 2 + 3 + 1)
+
+    @_property("demo/empty")
+    def check_empty(nmax):
+        yield 0
+
+    assert check_empty(3) == PropertyResult("demo/empty", False, "no case checked at nmax=3", 0)
+
+
 def test_a_check_with_no_case_fails():
     @_property("demo/evens")
     def check_evens(nmax):
@@ -49,6 +75,34 @@ def test_small_nmax_fails_the_checks_it_starves(nmax):
     starved = [r for r in results if r.detail == f"no case checked at nmax={nmax}"]
     assert starved and not any(r.passed or r.cases for r in starved)
     assert all(r.cases > 0 for r in results if r.passed)
+
+
+def test_displacement_increase_matches_per_move_oracle():
+    """The lemma move by move in Python for n <= 6: every displacement out
+    of a state with both ends away from home, weighed by ``weight(code_of)``,
+    is one of the kernel's moves with the same two weights."""
+    total = 0
+    for n in range(2, 7):
+        oracle = []
+        for p in all_perms(n):
+            if p[0] == 1 or p[-1] == n:
+                continue
+            w = weight(code_of(p))
+            for _, q in displacement_successors(p):
+                w2 = weight(code_of(q))
+                assert w2 > w and q[0] != 1 and q[-1] != n
+                oracle.append((rank(p), rank(q), w, w2))
+        rows = perm_matrix(n)
+        w = code_weights(code_signs(rows.argsort(axis=1) + 1))
+        away = np.flatnonzero((rows[:, 0] != 1) & (rows[:, -1] != n))
+        sources = away[displacement_sources(rows[away])]
+        targets = displacement_ranks(rows[away])
+        kernel = zip(sources.tolist(), targets.tolist(), w[sources].tolist(), w[targets].tolist())
+        assert sorted(kernel) == sorted(oracle)
+        total += len(oracle)
+    assert check_displacement_weight_increase(6) == PropertyResult(
+        "code-weight/displacement-increase", True, "", total
+    )
 
 
 def test_unknown_suite():
