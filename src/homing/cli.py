@@ -33,7 +33,7 @@ from dataclasses import asdict
 from typing import Iterable
 
 from .atomic import write_atomic
-from .counting import growth_csv, growth_table, worst_case_count
+from .counting import MAX_NMAX, growth_csv, growth_table, worst_case_count
 from .errors import CapacityError, InputError
 from .firings import (
     canonical_words,
@@ -61,7 +61,6 @@ VERIFY_FAILURE = 1
 
 _WORDS_MAX_N = 11  # 368,848 words; n = 12 would hold 2,794,864
 _WORD_BYTES = 290  # measured peak bytes per word held while listing them
-_COUNT_MAX_N = 200  # the ceiling growth tables share
 
 # subcommand -> (default --format, the formats it accepts); argparse rejects
 # any other format with exit code 2
@@ -135,8 +134,8 @@ def _cmd_enum_mn(args) -> int:
 
 
 def _cmd_count_mn(args) -> int:
-    if not 2 <= args.nmax <= _COUNT_MAX_N:
-        raise InputError(f"nmax must be in 2..{_COUNT_MAX_N}, got {args.nmax}")
+    if not 2 <= args.nmax <= MAX_NMAX:
+        raise InputError(f"nmax must be in 2..{MAX_NMAX}, got {args.nmax}")
     rows = [(n, worst_case_count(n)) for n in range(2, args.nmax + 1)]
     if args.format == "json":
         text = json.dumps({str(n): c for n, c in rows}) + "\n"

@@ -25,6 +25,8 @@ from math import exp, factorial, log
 
 from .errors import InputError
 
+MAX_NMAX = 200  # the ceiling growth and count tables share
+
 _split_cache: dict[tuple[int, int], int] = {(1, 1): 1}
 
 
@@ -135,8 +137,8 @@ def growth_table(nmax: int) -> list[GrowthRow]:
     Every row satisfies bell_root <= mn_root <= factorial_root: the
     worst-case count sits between the Bell numbers and the factorials.
     """
-    if not 2 <= nmax <= 200:
-        raise InputError(f"nmax must be in 2..200, got {nmax}")
+    if not 2 <= nmax <= MAX_NMAX:
+        raise InputError(f"nmax must be in 2..{MAX_NMAX}, got {nmax}")
     rows = []
     for n in range(2, nmax + 1):
         rows.append(

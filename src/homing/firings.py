@@ -12,9 +12,9 @@ the moved value lands right next to the home block.
 A firing is applied as one O(n) splice of the state, its net effect.  The
 displacement block itself (:func:`firing_moves`) is kept as the paper's
 construction and as the oracle that ``homing.verify`` replays against the
-splice.  :func:`prefix_states` walks the canonical prefixes, firing each
-once, and the checks fire every legal letter from every reachable prefix
-state exactly once on top of that walk.
+splice.  :func:`walk` visits the canonical prefixes depth first, firing
+each once, and the checks fire every legal letter from every reachable
+prefix state exactly once on top of that walk.
 
 Recording a left firing into position (i+1)-t as the letter L_t and a
 right firing into position (i+k+2)+t as R_t encodes each schedule as a
@@ -260,15 +260,8 @@ def short_firing_image(n: int) -> set[Perm]:
     Distinct schedules give distinct states, so the returned set has
     exactly 2^(n-2) elements; each lies in the worst-case set.
     """
-    if n < 2:
-        raise InputError(f"needs n >= 2, got {n}")
-    states = {swap_ends(n)}
-    for _ in range(n - 2):
-        nxt = set()
-        for p in states:
-            nxt.add(apply_letter(p, L(0)))
-            nxt.add(apply_letter(p, R(0)))
-        states = nxt
+    shorts = walk(n, keep=lambda word, letter: letter.index == 0)
+    states = {p for word, p in shorts if len(word) == n - 2}
     if len(states) != 1 << (n - 2):
         raise AssertionError("short firing schedules collided")
     return states
@@ -280,6 +273,10 @@ def next_letters(word: FiringWord) -> list[FiringLetter]:
     rights = sum(1 for letter in word if letter.side == RIGHT)
     lefts = len(word) - rights
     return [L(t) for t in range(rights + 1)] + [R(t) for t in range(lefts + 1)]
+
+
+def _canonical(word: FiringWord, letter: FiringLetter) -> bool:
+    return not (word and _is_redex(word[-1], letter))
 
 
 def _words(length: int, keep) -> Iterator[FiringWord]:
@@ -308,24 +305,28 @@ def canonical_words(n: int) -> list[FiringWord]:
     """
     if n < 2:
         raise InputError(f"words need n >= 2, got {n}")
-    return list(_words(n - 2, lambda word, letter: not (word and _is_redex(word[-1], letter))))
+    return list(_words(n - 2, _canonical))
 
 
-def prefix_states(n: int) -> dict[FiringWord, Perm]:
-    """Every canonical word of 0..n-2 letters mapped to the state it fires
-    to from swap_ends(n), shortest words first.
-
-    Canonicity and validity are both prefix-closed, so the canonical
-    prefixes of m letters are exactly ``canonical_words(m + 2)``, and each
-    state is one :func:`apply_letter` from its parent prefix's state.
+def walk(n: int, keep=_canonical) -> Iterator[tuple[FiringWord, Perm]]:
+    """Depth first, every word of 0..n-2 letters grown by :func:`next_letters`
+    and kept by ``keep(prefix, letter)`` (canonical words by default), with
+    the state it fires to from swap_ends(n), one :func:`apply_letter` from
+    its parent's.  Parents come first, words of n-2 letters in
+    :func:`canonical_words` order, and only one branch's siblings are held.
     """
     if n < 2:
         raise InputError(f"words need n >= 2, got {n}")
-    states = {(): swap_ends(n)}
-    for m in range(1, n - 1):
-        for word in canonical_words(m + 2):
-            states[word] = apply_letter(states[word[:-1]], word[-1])
-    return states
+    stack = [((), swap_ends(n))]
+    while stack:
+        word, p = stack.pop()
+        yield word, p
+        if len(word) < n - 2:
+            stack.extend(
+                (word + (letter,), apply_letter(p, letter))
+                for letter in reversed(next_letters(word))
+                if keep(word, letter)
+            )
 
 
 def restricted_words(length: int) -> Iterator[FiringWord]:

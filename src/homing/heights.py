@@ -28,8 +28,8 @@ from typing import Iterable
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import CycleError, InputError, ParseError
-from .perms import Perm, identity, rank, unrank
+from .errors import CycleError, ParseError
+from .perms import Perm, identity, placement_successors, rank, unrank
 from .successors import check_cap, displacement_ranks, perm_matrix
 
 DEFAULT_CAP = 10
@@ -37,12 +37,6 @@ DEFAULT_CAP = 10
 _MAGIC = b"HOMH"
 _VERSION = 1
 _UNKNOWN = -1
-
-
-def _check_cap(n: int, cap: int) -> None:
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    check_cap(n, cap)
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,7 @@ class HeightTable:
 
 def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:
     """Heights for all of S_n by Kahn's topological sort in rounds."""
-    _check_cap(n, cap)
+    check_cap(n, cap)
     perms = perm_matrix(n)
     remaining = np.zeros(len(perms), dtype=np.int8)  # placements not yet released
     for i in range(n):
@@ -101,7 +95,7 @@ def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:
 def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
     """Height of a single permutation, exploring only its reachable states."""
     n = len(p)
-    _check_cap(n, cap)
+    check_cap(n, cap)
     target = identity(n)
     memo: dict[Perm, object] = {target: 0}
     if p in memo:
@@ -113,13 +107,7 @@ def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
         state, succs, idx = frame
         if succs is None:
             memo[state] = in_progress
-            succs = frame[1] = sorted(
-                {
-                    _placed(state, pos)
-                    for pos in range(n)
-                    if state[pos] != pos + 1
-                }
-            )
+            succs = frame[1] = sorted(placement_successors(state))
         pushed = False
         while idx < len(succs):
             q = succs[idx]
@@ -137,14 +125,6 @@ def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
         memo[state] = (1 + max(memo[q] for q in succs)) if succs else 0
         stack.pop()
     return memo[p]  # type: ignore[return-value]
-
-
-def _placed(p: Perm, pos: int) -> Perm:
-    v = p[pos]
-    items = list(p)
-    del items[pos]
-    items.insert(v - 1, v)
-    return tuple(items)
 
 
 def max_height(n: int, cap: int = DEFAULT_CAP) -> int:

@@ -35,8 +35,10 @@ def layer_bytes(n: int) -> int:
 
 
 def check_cap(n: int, cap: int) -> None:
-    """Refuse an exhaustive pass over S_n beyond ``cap``, before allocating,
-    naming the :func:`layer_bytes` estimate."""
+    """Refuse an exhaustive pass over S_n for n < 1 or beyond ``cap``,
+    before allocating, naming the :func:`layer_bytes` estimate."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     if n > cap:
         raise CapacityError(
             f"n={n} exceeds the cap {cap} ({factorial(n)} states, "
@@ -51,13 +53,15 @@ def perm_matrix(n: int) -> np.ndarray:
 
     Built first value by first value: the block of rows starting with v is
     S_(n-1) read through a lookup table that shifts every value >= v up by
-    one.
+    one.  Beyond n = 12 ranks leave int32, and n is refused unallocated.
 
     >>> perm_matrix(3).tolist()
     [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
+    if n > _MAX_RANK_N:
+        raise CapacityError(f"perm_matrix needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
     rows = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n + 1):
         block = len(rows)

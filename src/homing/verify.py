@@ -7,8 +7,10 @@ on when it passes.  The ``homing verify`` subcommand runs this catalogue,
 and the acceptance tests run the same checks at their pinned scales
 rather than restating them.  The checks deliberately use
 independent machinery where one exists (value iteration against the
-Kahn-round tables, the binary readings against the strip recursion, the
-per-displacement firing cascade against the splice, and so on).
+Kahn-round tables, the weight kernel against the binary readings and
+:func:`homing.codes.weight`, the per-displacement firing cascade against
+the splice, and so on).  Exhaustive passes read the library's own layers:
+the weight kernel, the Kahn height table and :func:`homing.firings.walk`.
 
 Each check is written as a generator that yields once per case: ``None``
 when the case holds, or a description of the counterexample, which ends
@@ -52,10 +54,9 @@ from .firings import (
     letter_target,
     next_letters,
     partition_to_word,
-    prefix_states,
     restricted_words,
     short_firing_image,
-    valid_words,
+    walk,
     word_to_partition,
 )
 from .heights import build_height_table, stage1_longest, worst_case_permutations
@@ -139,6 +140,21 @@ def _text(signs: np.ndarray) -> str:
     return "".join("-0+"[s + 1] for s in signs.tolist())
 
 
+def _signed(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All of S_n as :func:`perm_matrix` rows, and the code signs of each."""
+    rows = perm_matrix(n)
+    inverse = np.empty_like(rows)  # the position of each value
+    inverse[np.arange(len(rows))[:, None], rows - 1] = np.arange(1, n + 1, dtype=np.int8)
+    return rows, code_signs(inverse)
+
+
+def _weighed(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All of S_n as :func:`perm_matrix` rows, the code weight of each, and
+    the mask of the states with both end values away from home."""
+    rows, signs = _signed(n)
+    return rows, code_weights(signs), (rows[:, 0] != 1) & (rows[:, -1] != n)
+
+
 # ---------------------------------------------------------------------------
 # perm-core
 # ---------------------------------------------------------------------------
@@ -216,16 +232,17 @@ def check_weight_range(nmax: int) -> Cases:
 @_property("code-weight/binary-readings")
 def check_binary_readings(nmax: int) -> Cases:
     for k in range(0, min(nmax, 12) + 1):
-        signs, w = _code_table(k)
         bits = 1 << np.arange(k - 1, -1, -1)
+        index = np.arange(1 << k)
+        digits = (index[:, None] & bits > 0).view(np.int8)  # row r: r in binary
         # codes over {0,+} read as binary with '+' as 1, over {0,-} reversed
-        readings = (1, "binary", (signs > 0) @ bits), (-1, "reverse binary", (signs < 0) @ bits[::-1])
-        for sign, reading, value in readings:
-            rows = np.flatnonzero((signs != -sign).all(axis=1))
-            bad = rows[w[rows] != value[rows]]
+        for sign, reading, value in (1, "binary", index), (-1, "reverse binary", digits @ bits[::-1]):
+            signs = sign * digits
+            w = code_weights(signs)
+            bad = np.flatnonzero(w != value)
             if len(bad):
                 yield f"w({_text(signs[bad[0]])}) != {reading} {value[bad[0]]}"
-            yield len(rows)
+            yield len(w)
 
 
 @_property("code-weight/tiebreak-invariance")
@@ -308,11 +325,7 @@ def check_displacement_weight_increase(nmax: int) -> Cases:
     # the set with both ends away from home is closed under eviction, and
     # every eviction inside it raises the weight
     for n in range(2, min(nmax, 9) + 1):
-        rows = perm_matrix(n)
-        pos = np.empty_like(rows)  # the inverse of each row
-        pos[np.arange(len(rows))[:, None], rows - 1] = np.arange(1, n + 1, dtype=np.int8)
-        w = code_weights(code_signs(pos))
-        away = (rows[:, 0] != 1) & (rows[:, -1] != n)
+        rows, w, away = _weighed(n)
         starts = rows[away]
         sources = np.flatnonzero(away)[displacement_sources(starts)]
         targets = displacement_ranks(starts)
@@ -440,47 +453,48 @@ def check_stage1_longest(nmax: int) -> Cases:
         yield None if got == (1 << (n - 2)) - 1 else f"stage1_longest({n}) = {got}"
 
 
+def eviction_runs(n: int, rows: np.ndarray, away: np.ndarray) -> np.ndarray:
+    """The longest eviction run out of each state of ``away`` (0 elsewhere),
+    by rank.  The set is closed under eviction, and an eviction p -> q
+    climbs at least one height, since q places back to p, so one pass down
+    the height table finds each run after the runs of all its successors."""
+    heights = build_height_table(n).heights
+    run = np.zeros(len(rows), np.int32)
+    for h in range(int(heights.max()), -1, -1):
+        layer = np.flatnonzero(away & (heights == h))
+        starts = rows[layer]
+        np.maximum.at(run, layer[displacement_sources(starts)], run[displacement_ranks(starts)] + 1)
+    return run
+
+
 @_property("height-map/weight-certificate")
 def check_weight_certificate(nmax: int) -> Cases:
     # with both ends away from home, eviction paths are weight-graded, so no
     # run inside that region can exceed the code weight range 2^(n-2) - 1
-    for n in range(2, min(nmax, 6) + 1):
-        memo: dict[tuple, int] = {}
-
-        def longest(p) -> int:
-            if p in memo:
-                return memo[p]
-            best = 0
-            for _, q in displacement_successors(p):
-                best = max(best, 1 + longest(q))
-            memo[p] = best
-            return best
-
-        bound = (1 << (n - 2)) - 1
-        for p in all_perms(n):
-            if p[0] == 1 or p[-1] == n:
-                continue
-            run = longest(p)
-            slack = bound - weight(code_of(p))
-            yield None if run <= slack else f"{format_perm(p)} sustains {run} > {slack} evictions"
+    for n in range(2, min(nmax, 9) + 1):
+        rows, w, away = _weighed(n)
+        run = eviction_runs(n, rows, away)
+        slack = (1 << (n - 2)) - 1 - w
+        bad = np.flatnonzero(away & (run > slack))
+        if len(bad):
+            p = format_perm(tuple(rows[bad[0]].tolist()))
+            yield f"{p} sustains {run[bad[0]]} > {slack[bad[0]]} evictions"
+        yield int(away.sum())
 
 
 @_property("height-map/worst-case-code-shape", "converse fails as expected")
 def check_mn_code_shape(nmax: int) -> Cases:
+    # a worst case has a block code +^a -^b: no '0', never rising along it
     converse_broken = False
-    for n in range(2, min(nmax, 7) + 1):
-        table = build_height_table(n)
-        top = (1 << (n - 1)) - 1
-        members = set(table.members_at(top))
-        for p in members:
-            c = code_of(p)
-            yield None if c == "+" * c.count("+") + "-" * c.count("-") else (
-                f"{format_perm(p)} in worst set, code {c}"
-            )
-        for p in all_perms(n):
-            c = code_of(p)
-            if c == "+" * c.count("+") + "-" * c.count("-") and p not in members:
-                converse_broken = True
+    for n in range(2, min(nmax, 9) + 1):
+        rows, signs = _signed(n)
+        members = build_height_table(n).heights == (1 << (n - 1)) - 1
+        block = (signs != 0).all(axis=1) & (np.diff(signs, axis=1) <= 0).all(axis=1)
+        bad = np.flatnonzero(members & ~block)
+        if len(bad):
+            yield f"{format_perm(tuple(rows[bad[0]].tolist()))} in worst set, code {_text(signs[bad[0]])}"
+        yield int(members.sum())
+        converse_broken |= bool((block & ~members).any())
     if not converse_broken:
         yield "no counterexample to the converse was found"
 
@@ -497,7 +511,7 @@ def check_firing_steps(nmax: int) -> Cases:
     # and the landing value the firing promises
     weight_of = lru_cache(maxsize=None)(weight)  # codes of length <= 7 only
     for n in range(3, min(nmax, 9) + 1):
-        for word, p in prefix_states(n).items():
+        for word, p in walk(n):
             if len(word) == n - 2:
                 continue
             i, k, j = code_shape(code_of(p))
@@ -529,23 +543,24 @@ def check_firing_steps(nmax: int) -> Cases:
 def check_schedule_total(nmax: int) -> Cases:
     for n in range(2, min(nmax, 8) + 1):
         members = set(worst_case_permutations(n))
-        states = prefix_states(n)
-        total = {(): 0}  # displacements spent along each prefix
-        for word, p in states.items():
-            if word:
-                parent, letter = states[word[:-1]], word[-1]
+        states = [swap_ends(n)] * (n - 1)  # the state at each depth of the current branch
+        spent = [0] * (n - 1)  # displacements spent along it to each depth
+        for word, p in walk(n):
+            depth = len(word)
+            if depth:
+                parent, letter = states[depth - 1], word[-1]
                 moves = firing_moves(parent, letter.side, letter_target(parent, letter))
-                total[word] = total[word[:-1]] + len(moves)
-            if len(word) == n - 2:
-                if total[word] != (1 << (n - 2)) - 1:
-                    yield f"{format_word(word)} used {total[word]} displacements"
+                states[depth], spent[depth] = p, spent[depth - 1] + len(moves)
+            if depth == n - 2:
+                if spent[depth] != (1 << (n - 2)) - 1:
+                    yield f"{format_word(word)} used {spent[depth]} displacements"
                 yield None if p in members else f"{format_word(word)} left the worst-case set"
 
 
 @_property("firings/word-bijection")
 def check_word_bijection(nmax: int) -> Cases:
     for n in range(2, min(nmax, 9) + 1):
-        ends = [p for word, p in prefix_states(n).items() if len(word) == n - 2]
+        ends = [p for word, p in walk(n) if len(word) == n - 2]
         images = set(ends)
         if len(images) != len(ends):
             yield f"n={n}: words collide"
@@ -580,19 +595,14 @@ def normal_forms(word: FiringWord) -> set[FiringWord]:
 @_property("firings/confluence")
 def check_confluence(nmax: int) -> Cases:
     for length in range(0, min(max(nmax - 2, 0), 6) + 1):
-        canonical = prefix_states(length + 2)
-        fired = {(): canonical[()]}  # each valid prefix, one letter on from its parent
-        for m in range(1, length + 1):
-            for word in valid_words(m):
-                fired[word] = apply_letter(fired[word[:-1]], word[-1])
-        for word in valid_words(length):
+        every = walk(length + 2, keep=lambda word, letter: True)
+        fired = {word: p for word, p in every if len(word) == length}  # every valid word
+        for word, p in fired.items():
             forms = normal_forms(word)
             canon = canonicalize(word)
             if forms != {canon} or not is_canonical(canon):
                 yield f"{format_word(word)} has normal forms {forms}"
-            yield None if fired[word] == canonical[canon] else (
-                f"rewrite changed the state of {format_word(word)}"
-            )
+            yield None if p == fired[canon] else f"rewrite changed the state of {format_word(word)}"
 
 
 @_property("firings/recurrence-vs-language")

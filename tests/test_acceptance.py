@@ -131,6 +131,21 @@ def test_pinned_eviction_longest():
     print("\nPASS pinned eviction: longest run fixing value 1 is 2^(n-2)-1 for n=2..9")
 
 
+def test_weight_certificate_exhaustive():
+    """With both end values away from home, no state sustains more than
+    2^(n-2) - 1 - w(p) evictions, where w(p) is its code weight; every such
+    state for n <= 9."""
+    checked = passes(verify.check_weight_certificate, 9)
+    print(f"\nPASS weight certificate: {checked} states with both ends away, n<=9")
+
+
+def test_worst_case_code_shape():
+    """Every worst case has a code +^a -^b, and some state with such a
+    code is not a worst case; exhaustive for n <= 9."""
+    checked = passes(verify.check_mn_code_shape, 9)
+    print(f"\nPASS worst-case code shape: {checked} worst cases of the form +^a -^b, n<=9")
+
+
 def test_firing_words_biject_onto_worst_cases():
     """For n <= 9 the canonical words map bijectively onto the worst-case
     set.  Every legal letter is fired once from every state a canonical

@@ -2,6 +2,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from homing import InputError, ParseError, WordError, cli
@@ -231,6 +232,15 @@ BAD_INPUT = [
 def test_bad_input_exits_2(argv, needle, capsys):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2 and needle in err
+
+
+def test_enum_beyond_int32_ranks_exits_2_before_allocating(capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the 13! rows were allocated")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    code, out, err = run_cli(capsys, "enum-mn", "--n", "13", "--cap", "13")
+    assert code == 2 and out == "" and "n <= 12" in err
 
 
 def test_library_errors_are_not_usage_errors(monkeypatch):

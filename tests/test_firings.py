@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from homing import (
     CodeShapeError,
+    InputError,
     ParseError,
     WordError,
     code_of,
@@ -31,10 +32,10 @@ from homing.firings import (
     parse_partition,
     parse_word,
     partition_to_word,
-    prefix_states,
     restricted_words,
     short_firing_image,
     valid_words,
+    walk,
     word_to_partition,
 )
 from homing.heights import worst_case_permutations
@@ -76,7 +77,7 @@ def test_full_left_firing_from_gateway(n):
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_fire_right_is_mirror_of_fire_left(n):
-    for word, p in prefix_states(n).items():
+    for word, p in walk(n):
         if len(word) == n - 2:
             continue
         i, k, j = code_shape(code_of(p))
@@ -186,12 +187,44 @@ def test_long_words_canonicalize_and_fire(word):
     assert code == "+" * code.count("+") + "-" * code.count("-")
 
 
+def fired_letter_by_letter(word, n):
+    p = swap_ends(n)
+    for letter in word:
+        p = apply_letter(p, letter)
+    return p
+
+
 @pytest.mark.parametrize("n", range(2, 8))
-def test_prefix_states_match_apply_word(n):
-    states = prefix_states(n)
-    assert list(states) == [w for m in range(2, n + 1) for w in canonical_words(m)]
-    for word in canonical_words(n):
-        assert states[word] == apply_word(word, n)
+def test_walk_matches_apply_word(n):
+    walked = list(walk(n))
+    words = [word for word, _ in walked]
+    # each canonical prefix once, and every parent before its children
+    assert sorted(words) == sorted(w for m in range(2, n + 1) for w in canonical_words(m))
+    assert len(set(words)) == len(words)
+    assert all(words.index(w[:-1]) < i for i, w in enumerate(words) if w)
+    assert [w for w in words if len(w) == n - 2] == canonical_words(n)
+    for word, p in walked:
+        assert p == fired_letter_by_letter(word, n)
+        if len(word) == n - 2:
+            assert p == apply_word(word, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_walk_keeps_the_letters_it_is_told(n):
+    every = [word for word, _ in walk(n, keep=lambda word, letter: True)]
+    assert [w for w in every if len(w) == n - 2] == list(valid_words(n - 2))
+    assert len(every) == sum(len(list(valid_words(m))) for m in range(n - 1))
+    shorts = [w for w, _ in walk(n, keep=lambda word, letter: letter.index == 0)]
+    assert len(shorts) == (1 << (n - 1)) - 1
+    assert all(letter.index == 0 for w in shorts for letter in w)
+
+
+def test_walk_needs_two_values():
+    for n in (1, 0):
+        with pytest.raises(InputError):
+            next(walk(n))
+        with pytest.raises(InputError):
+            short_firing_image(n)
 
 
 @pytest.mark.parametrize("n", range(2, 8))

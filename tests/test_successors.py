@@ -4,7 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from homing import all_perms, code_of, displacement_successors, rank, unrank, weight
+from homing import CapacityError, all_perms, code_of, displacement_successors, rank, unrank, weight
 from homing.successors import (
     code_signs,
     code_weights,
@@ -70,3 +70,12 @@ def test_rank_rows_rejects_ranks_beyond_int32():
 def test_perm_matrix_rejects_empty_n():
     with pytest.raises(ValueError):
         perm_matrix(0)
+
+
+def test_perm_matrix_refuses_ranks_beyond_int32_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("perm_matrix allocated before refusing n")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(CapacityError, match="n <= 12"):
+        perm_matrix(13)

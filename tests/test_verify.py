@@ -8,7 +8,10 @@ from homing.verify import (
     SUITES,
     PropertyResult,
     _property,
+    _weighed,
     check_displacement_weight_increase,
+    check_weight_certificate,
+    eviction_runs,
     run_suite,
     suite_names,
 )
@@ -103,6 +106,35 @@ def test_displacement_increase_matches_per_move_oracle():
     assert check_displacement_weight_increase(6) == PropertyResult(
         "code-weight/displacement-increase", True, "", total
     )
+
+
+def recursive_runs(n):
+    """The longest eviction run out of every state with both ends away from
+    home, by a memoised recursion over ``displacement_successors``."""
+    memo = {}
+
+    def longest(p):
+        if p not in memo:
+            memo[p] = max((1 + longest(q) for _, q in displacement_successors(p)), default=0)
+        return memo[p]
+
+    return {p: longest(p) for p in all_perms(n) if p[0] != 1 and p[-1] != n}
+
+
+def test_weight_certificate_matches_the_recursion():
+    """The pass down the height table finds the recursion's run for every
+    state with both ends away from home for n <= 6, 0 for every other state,
+    and each run fits the slack 2^(n-2) - 1 - weight(code_of(p))."""
+    total = 0
+    for n in range(2, 7):
+        rows, w, away = _weighed(n)
+        run = eviction_runs(n, rows, away)
+        oracle = recursive_runs(n)
+        assert {p: int(run[rank(p)]) for p in oracle} == oracle
+        assert int(away.sum()) == len(oracle) and not run[~away].any()
+        assert all(r <= (1 << (n - 2)) - 1 - weight(code_of(p)) for p, r in oracle.items())
+        total += len(oracle)
+    assert check_weight_certificate(6) == PropertyResult("height-map/weight-certificate", True, "", total)
 
 
 def test_unknown_suite():
