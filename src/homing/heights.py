@@ -13,9 +13,9 @@ them height h, and ranks all evictions out of them at once: each eviction
 q -> p is one placement p -> q, so it takes one off p's count.  The round
 in which a state is released is its longest path to the sink.  A state
 never released lies on or above a cycle (there are none), which raises
-:class:`CycleError` rather than looping.  Tables are immutable int32
-arrays, freely shareable between threads, and can be written to disk in a
-small binary format (8-byte header ``HOMH`` + version + n, then
+:class:`CycleError` rather than looping.  Tables are int32 arrays over
+immutable bytes, freely shareable between threads, and can be written to
+disk in a small binary format (8-byte header ``HOMH`` + version + n, then
 little-endian int32 heights in rank order).
 """
 from __future__ import annotations
@@ -89,7 +89,8 @@ def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:
             f"placement digraph cycle at n={n}: {len(stuck)} states never released, "
             f"the first at rank {stuck[0]}"
         )
-    return HeightTable(n, heights)
+    del perms, remaining, frontier  # freed first, so the copy does not raise the peak
+    return HeightTable(n, np.frombuffer(heights.tobytes(), np.int32))
 
 
 def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
@@ -186,7 +187,7 @@ def load_height_table(path) -> HeightTable:
             size = 8 + len(body)  # short if the file shrank meanwhile
     if size != expected:
         raise ParseError(f"{path}: a table for n = {n} is {expected:,} bytes, found {size:,}")
-    return HeightTable(n, np.frombuffer(body, dtype="<i4").astype(np.int32))
+    return HeightTable(n, np.frombuffer(body, dtype="<i4"))
 
 
 def members_json(members: Iterable[Perm]) -> str:

@@ -24,6 +24,11 @@ property also carries its own natural ceiling, so ``nmax=7`` keeps every
 suite comfortably under a few seconds while still covering thousands to
 millions of states.  The library's default caps cover every ceiling, so
 the checks take no cap of their own.
+
+The inputs the checks share per n -- the height table of S_n, and the rows
+of S_n with their code signs and weights -- are computed once per process
+and kept read-only.  The ceilings bound what is kept: tables for n <= 10
+(14.5 MB at n = 10) and rows for n <= 9.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial
-from functools import lru_cache, wraps
+from functools import cache, lru_cache, wraps
 from typing import Callable, Iterator, Union
 
 import numpy as np
@@ -59,7 +64,7 @@ from .firings import (
     walk,
     word_to_partition,
 )
-from .heights import build_height_table, stage1_longest, worst_case_permutations
+from .heights import HeightTable, build_height_table, stage1_longest
 from .perms import (
     all_perms,
     displace,
@@ -140,19 +145,31 @@ def _text(signs: np.ndarray) -> str:
     return "".join("-0+"[s + 1] for s in signs.tolist())
 
 
+@cache
+def _table(n: int) -> HeightTable:
+    """The height table of S_n, shared by every check."""
+    return build_height_table(n)
+
+
+@cache
 def _signed(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All of S_n as :func:`perm_matrix` rows, and the code signs of each."""
     rows = perm_matrix(n)
     inverse = np.empty_like(rows)  # the position of each value
     inverse[np.arange(len(rows))[:, None], rows - 1] = np.arange(1, n + 1, dtype=np.int8)
-    return rows, code_signs(inverse)
+    signs = code_signs(inverse)
+    rows.flags.writeable = signs.flags.writeable = False
+    return rows, signs
 
 
+@cache
 def _weighed(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All of S_n as :func:`perm_matrix` rows, the code weight of each, and
     the mask of the states with both end values away from home."""
     rows, signs = _signed(n)
-    return rows, code_weights(signs), (rows[:, 0] != 1) & (rows[:, -1] != n)
+    w, away = code_weights(signs), (rows[:, 0] != 1) & (rows[:, -1] != n)
+    w.flags.writeable = away.flags.writeable = False
+    return rows, w, away
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +220,7 @@ def check_extremes_placed_once(nmax: int) -> Cases:
 def check_acyclicity(nmax: int) -> Cases:
     for n in range(1, min(nmax, 7) + 1):
         try:
-            build_height_table(n)
+            _table(n)
         except CycleError as err:
             yield str(err)
         yield None
@@ -427,20 +444,23 @@ def forward_eviction_heights(n: int) -> list[int]:
 @_property("height-map/eviction-duality")
 def check_eviction_duality(nmax: int) -> Cases:
     for n in range(1, min(nmax, 6) + 1):
-        table = build_height_table(n)
-        yield None if list(table.heights) == forward_eviction_heights(n) else (
+        yield None if list(_table(n).heights) == forward_eviction_heights(n) else (
             f"n={n}: forward eviction distances disagree"
         )
 
 
 @_property("height-map/max-height")
 def check_max_heights(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 8) + 1):
-        table = build_height_table(n)
-        if table.max() != (1 << (n - 1)) - 1:
+    # the ceiling 2^(n-1) - 1, met by the rotation and by as many states as
+    # the recurrence counts, and the gateway at 2^(n-2)
+    for n in range(1, min(nmax, 10) + 1):
+        table, top = _table(n), (1 << (n - 1)) - 1
+        if table.max() != top:
             yield f"max height at n={n} is {table.max()}"
-        if table.height_of(rotation(n)) != (1 << (n - 1)) - 1:
+        if table.height_of(rotation(n)) != top:
             yield f"rotation not at max height for n={n}"
+        if n >= 2 and np.count_nonzero(table.heights == top) != worst_case_count(n):
+            yield f"top level at n={n} is not worst_case_count({n}) states"
         if n >= 2 and table.height_of(swap_ends(n)) != 1 << (n - 2):
             yield f"gateway height wrong at n={n}"
         yield None
@@ -458,7 +478,7 @@ def eviction_runs(n: int, rows: np.ndarray, away: np.ndarray) -> np.ndarray:
     by rank.  The set is closed under eviction, and an eviction p -> q
     climbs at least one height, since q places back to p, so one pass down
     the height table finds each run after the runs of all its successors."""
-    heights = build_height_table(n).heights
+    heights = _table(n).heights
     run = np.zeros(len(rows), np.int32)
     for h in range(int(heights.max()), -1, -1):
         layer = np.flatnonzero(away & (heights == h))
@@ -488,7 +508,7 @@ def check_mn_code_shape(nmax: int) -> Cases:
     converse_broken = False
     for n in range(2, min(nmax, 9) + 1):
         rows, signs = _signed(n)
-        members = build_height_table(n).heights == (1 << (n - 1)) - 1
+        members = _table(n).heights == (1 << (n - 1)) - 1
         block = (signs != 0).all(axis=1) & (np.diff(signs, axis=1) <= 0).all(axis=1)
         bad = np.flatnonzero(members & ~block)
         if len(bad):
@@ -542,7 +562,7 @@ def check_firing_steps(nmax: int) -> Cases:
 @_property("firings/schedule-total")
 def check_schedule_total(nmax: int) -> Cases:
     for n in range(2, min(nmax, 8) + 1):
-        members = set(worst_case_permutations(n))
+        members = set(_table(n).members_at((1 << (n - 1)) - 1))
         states = [swap_ends(n)] * (n - 1)  # the state at each depth of the current branch
         spent = [0] * (n - 1)  # displacements spent along it to each depth
         for word, p in walk(n):
@@ -564,7 +584,7 @@ def check_word_bijection(nmax: int) -> Cases:
         images = set(ends)
         if len(images) != len(ends):
             yield f"n={n}: words collide"
-        members = set(worst_case_permutations(n))
+        members = set(_table(n).members_at((1 << (n - 1)) - 1))
         if len(images) != len(members):
             yield f"n={n}: image has {len(images)} of {len(members)}"
         for p in images:
@@ -625,7 +645,7 @@ def check_short_firing_injectivity(nmax: int) -> Cases:
         image = short_firing_image(n)
         if len(image) != 1 << (n - 2):
             yield f"n={n}: image size {len(image)}"
-        members = set(worst_case_permutations(n))
+        members = set(_table(n).members_at((1 << (n - 1)) - 1))
         for p in image:
             yield None if p in members else f"n={n}: image leaves the worst-case set"
 

@@ -291,6 +291,8 @@ def test_tables_are_read_only(tmp_path):
     for t in (table, load_height_table(path)):
         with pytest.raises(ValueError):
             t.heights[0] = 1
+        with pytest.raises(ValueError):  # immutable bytes underneath
+            t.heights.flags.writeable = True
 
 
 def test_capacity_checks():

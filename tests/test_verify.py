@@ -1,8 +1,10 @@
 """The invariant suites themselves run clean at a small scale."""
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
-from homing import all_perms, code_of, displacement_successors, rank, weight
+from homing import all_perms, code_of, displacement_successors, heights, rank, verify, weight
 from homing.successors import code_signs, code_weights, displacement_ranks, displacement_sources, perm_matrix
 from homing.verify import (
     SUITES,
@@ -33,6 +35,22 @@ def test_all_runs_everything():
     results = run_suite("all", nmax=4)
     assert len(results) == sum(len(v) for v in SUITES.values())
     assert all(r.passed and r.cases > 0 for r in results)
+
+
+def test_each_table_is_built_once(monkeypatch):
+    """The checks share one table per n; only ``stage1_longest``, the
+    library function its check tests, builds its own."""
+    for cached in (verify._table, verify._signed, verify._weighed):
+        cached.cache_clear()
+    build = Mock(wraps=heights.build_height_table)
+    for module in (heights, verify):
+        monkeypatch.setattr(module, "build_height_table", build)
+    assert all(r.passed for r in run_suite("all", nmax=7))
+    built = sorted(call.args[0] for call in build.call_args_list)
+    assert built == sorted([*range(1, 8), *range(2, 8)])  # 13, not 56
+    for array in (*verify._signed(5), *verify._weighed(5)):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def test_failure_stops_at_the_first_counterexample():
