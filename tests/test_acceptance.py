@@ -5,14 +5,14 @@ with ``pytest -s``); scales and tolerances are pinned here, not
 configurable.  Where a claim is one of ``homing.verify``'s properties the
 test runs that check at its pinned scale, and the counts in the PASS line
 are the cases the check asserted on.  There is no table fixture: the
-checks share one table per n through :mod:`homing.verify`, and the one
-timing gate times a build of its own.
+checks, and the tests that read a table, share one table per n through
+:mod:`homing.verify`, and the one timing gate times a build of its own.
 """
 import time
 from fractions import Fraction
 from math import factorial
 
-from homing import identity, rotation, verify
+from homing import identity, rotation, swap_ends, verify
 from homing.counting import bell_number, growth_csv, growth_table, worst_case_count
 from homing.firings import apply_word, canonicalize, format_word, parse_word
 from homing.heights import build_height_table
@@ -28,22 +28,34 @@ def passes(check, nmax):
     return result.cases
 
 
-def test_exhaustive_heights():
-    """Longest homing run is exactly 2^(n-1) - 1, reached by the rotation and
-    by exactly as many states as the recurrence counts, with the gateway
-    n,2,...,n-1,1 at height 2^(n-2); every state for n = 1..10.  The
-    recurrence gives the pinned counts, and a fresh n = 9 table builds in
-    under 30 s."""
+def test_worst_case_bound():
+    """Longest homing run is exactly 2^(n-1) - 1, reached by the rotation,
+    over every state for n = 1..10 (``check_max_heights``, which also
+    asserts the top-level counts and the gateway); a fresh n = 9 table
+    builds in under 30 s."""
     assert passes(verify.check_max_heights, 10) == 10  # one case per n
-    assert {n: worst_case_count(n) for n in WORST_CASE_COUNTS} == WORST_CASE_COUNTS
     start = time.perf_counter()
     build_height_table(9)
     n9 = time.perf_counter() - start
     assert n9 < 30.0
-    print(
-        f"\nPASS exhaustive heights: max 2^(n-1)-1, recurrence-many states at the top "
-        f"and the gateway at 2^(n-2) for n=1..10 (n=9 rebuilt in {n9:.1f}s)"
-    )
+    print(f"\nPASS worst-case bound: max height = 2^(n-1)-1 for n=1..10 (n=9 rebuilt in {n9:.1f}s)")
+
+
+def test_worst_case_set_sizes():
+    """The worst-case sets have sizes 1,2,5,16,62,280,1440,8296,52864 for
+    n = 2..10, on verify's shared tables, matching the recurrence exactly."""
+    for n in WORST_CASE_COUNTS:
+        members = verify._table(n).members_at((1 << (n - 1)) - 1)
+        assert len(members) == worst_case_count(n) == WORST_CASE_COUNTS[n]
+    print("\nPASS worst-case set sizes: exhaustive counts match the recurrence for n=2..10")
+
+
+def test_gateway_height():
+    """The gateway state n,2,...,n-1,1 sits at height exactly 2^(n-2), on
+    verify's shared tables for n = 2..10."""
+    for n in range(2, 11):
+        assert verify._table(n).height_of(swap_ends(n)) == 1 << (n - 2)
+    print("\nPASS gateway height: height(n,2,...,n-1,1) = 2^(n-2) for n=2..10")
 
 
 def test_hanoi_trace():
