@@ -60,7 +60,7 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 _WORDS_MAX_N = 11  # 368,848 words; n = 12 would hold 2,794,864
-_WORD_BYTES = 290  # measured peak bytes per word held while listing them
+_WORD_BYTES = 235  # peak bytes per word held while listing them (VmHWM over import, n = 11)
 
 # subcommand -> (default --format, the formats it accepts); argparse rejects
 # any other format with exit code 2

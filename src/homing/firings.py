@@ -16,6 +16,16 @@ splice.  :func:`walk` visits the canonical prefixes depth first, firing
 each once, and the checks fire every legal letter from every reachable
 prefix state exactly once on top of that walk.
 
+From the gateway the shape needs no reading: after l left and r right
+firings the code is +^r 0^(n-2-l-r) -^l, so :func:`apply_word` and
+:func:`walk` count letters and hand the shape to the splice.  The
+``firings/step-count-and-weight`` check backs that count, reading the code
+of every state it fires from.  :func:`apply_letter`, :func:`fire_left`,
+:func:`fire_right` and :func:`letter_target` take any state and read its
+shape from its code; :func:`apply_letter` fired one letter at a time is the
+oracle the tests hold the counted path to.  Letters of index below 64 are
+made once and shared: ``L(t) is L(t)``.
+
 Recording a left firing into position (i+1)-t as the letter L_t and a
 right firing into position (i+k+2)+t as R_t encodes each schedule as a
 word.  Words are equivalent exactly when they produce the same state; the
@@ -28,6 +38,8 @@ Bell-number lower bound on the number of worst cases comes from.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .codes import code_of
@@ -48,12 +60,19 @@ LEFT = "L"
 RIGHT = "R"
 
 
+_SHARED = 64  # letters of index 0.._SHARED-1 are made once and shared
+_LEFTS = tuple(FiringLetter(LEFT, t) for t in range(_SHARED))
+_RIGHTS = tuple(FiringLetter(RIGHT, t) for t in range(_SHARED))
+
+
 def L(index: int = 0) -> FiringLetter:
-    return FiringLetter(LEFT, index)
+    # a negative index must not wrap around the table: it makes a fresh
+    # letter, which check_word and apply_letter reject
+    return _LEFTS[index] if 0 <= index < _SHARED else FiringLetter(LEFT, index)
 
 
 def R(index: int = 0) -> FiringLetter:
-    return FiringLetter(RIGHT, index)
+    return _RIGHTS[index] if 0 <= index < _SHARED else FiringLetter(RIGHT, index)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +201,15 @@ def apply_letter(p: Perm, letter: FiringLetter) -> Perm:
     return _fire(p, shape, letter.side, _letter_target(len(p), shape, letter))
 
 
+def _apply_counted(p: Perm, lefts: int, rights: int, letter: FiringLetter) -> Perm:
+    """:func:`apply_letter` on a state that ``lefts`` left and ``rights``
+    right firings made from the gateway, whose code is therefore
+    +^rights 0^(n-2-lefts-rights) -^lefts."""
+    n = len(p)
+    shape = (rights, n - 2 - lefts - rights, lefts)
+    return _fire(p, shape, letter.side, _letter_target(n, shape, letter))
+
+
 def apply_word(word: FiringWord, n: int) -> Perm:
     """Run a full schedule of n-2 firings from the gateway state swap_ends(n).
 
@@ -193,8 +221,13 @@ def apply_word(word: FiringWord, n: int) -> Perm:
         raise WordError(f"word length {len(word)} does not match n-2 = {n - 2}")
     check_word(word)
     p = swap_ends(n)
+    lefts = rights = 0
     for letter in word:
-        p = apply_letter(p, letter)
+        p = _apply_counted(p, lefts, rights, letter)
+        if letter.side == LEFT:
+            lefts += 1
+        else:
+            rights += 1
     return p
 
 
@@ -248,8 +281,8 @@ def canonicalize(word: FiringWord) -> FiringWord:
         for idx in range(len(letters) - 1):
             a, b = letters[idx], letters[idx + 1]
             if _is_redex(a, b):
-                letters[idx] = FiringLetter(RIGHT, b.index - 1)
-                letters[idx + 1] = FiringLetter(LEFT, a.index + 1)
+                letters[idx] = R(b.index - 1)
+                letters[idx + 1] = L(a.index + 1)
                 changed = True
     return tuple(letters)
 
@@ -267,12 +300,16 @@ def short_firing_image(n: int) -> set[Perm]:
     return states
 
 
-def next_letters(word: FiringWord) -> list[FiringLetter]:
+def next_letters(word: FiringWord) -> tuple[FiringLetter, ...]:
     """The letters that may follow ``word`` in a valid word: L_t for t up to
     its number of rights, R_t for t up to its number of lefts."""
     rights = sum(1 for letter in word if letter.side == RIGHT)
-    lefts = len(word) - rights
-    return [L(t) for t in range(rights + 1)] + [R(t) for t in range(lefts + 1)]
+    return _next_letters(len(word) - rights, rights)
+
+
+@lru_cache(maxsize=1024)
+def _next_letters(lefts: int, rights: int) -> tuple[FiringLetter, ...]:
+    return tuple(map(L, range(rights + 1))) + tuple(map(R, range(lefts + 1)))
 
 
 def _canonical(word: FiringWord, letter: FiringLetter) -> bool:
@@ -317,16 +354,18 @@ def walk(n: int, keep=_canonical) -> Iterator[tuple[FiringWord, Perm]]:
     """
     if n < 2:
         raise InputError(f"words need n >= 2, got {n}")
-    stack = [((), swap_ends(n))]
+    stack = [((), swap_ends(n), 0, 0)]
     while stack:
-        word, p = stack.pop()
+        word, p, lefts, rights = stack.pop()
         yield word, p
-        if len(word) < n - 2:
-            stack.extend(
-                (word + (letter,), apply_letter(p, letter))
-                for letter in reversed(next_letters(word))
-                if keep(word, letter)
-            )
+        if lefts + rights < n - 2:
+            for letter in reversed(_next_letters(lefts, rights)):
+                if keep(word, letter):
+                    q = _apply_counted(p, lefts, rights, letter)
+                    if letter.side == LEFT:
+                        stack.append((word + (letter,), q, lefts + 1, rights))
+                    else:
+                        stack.append((word + (letter,), q, lefts, rights + 1))
 
 
 def restricted_words(length: int) -> Iterator[FiringWord]:
@@ -372,17 +411,13 @@ def word_to_partition(word: FiringWord) -> SetPartition:
 def partition_to_word(partition: SetPartition) -> FiringWord:
     """Inverse of :func:`word_to_partition`."""
     blocks = _validated_partition(partition)
-    owner = {}
+    # element e >= 2 is letter e-1, at word[e - 2]: R_0 when e opens a block
+    # (the first block opens with 1, which has no letter), else L_b for its block b
+    word: list[FiringLetter] = [R(0)] * (sum(map(len, blocks)) - 1)
     for b_idx, block in enumerate(blocks):
-        for element in block:
-            owner[element] = b_idx
-    word = []
-    for element in range(2, len(owner) + 1):
-        b_idx = owner[element]
-        if blocks[b_idx][0] == element:
-            word.append(FiringLetter(RIGHT, 0))
-        else:
-            word.append(FiringLetter(LEFT, b_idx))
+        letter = L(b_idx)
+        for element in block[1:]:
+            word[element - 2] = letter
     return tuple(word)
 
 
@@ -390,8 +425,8 @@ def _validated_partition(partition: SetPartition) -> list[tuple[int, ...]]:
     blocks = [tuple(sorted(b)) for b in partition]
     if any(not b for b in blocks):
         raise WordError("partition blocks must be nonempty")
-    blocks.sort(key=lambda b: b[0])
-    elements = sorted(e for b in blocks for e in b)
+    blocks.sort()  # by smallest element, since the blocks must be disjoint
+    elements = sorted(chain.from_iterable(blocks))
     if elements != list(range(1, len(elements) + 1)):
         raise WordError(f"blocks do not partition 1..m: {partition!r}")
     return blocks

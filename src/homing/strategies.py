@@ -60,7 +60,7 @@ STRATEGIES = (
 
 DEFAULT_SEARCH_CAP = 9
 
-_BLOCK = 1 << 14  # trace steps per block of codes, weights and text
+_BLOCK = 1 << 13  # trace steps per block of codes, weights and text
 _CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
 _IDENTITY_ROW = bytes(range(1, 256))  # its first n bytes: the sorted packed row, n < 256
 
@@ -283,7 +283,12 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
         moves.append(v)
     else:
         raise AssertionError("homing exceeded its proven step bound")
-    return Trace(p, tuple(moves), tuple(state), bytes(rows))
+    # one copy at a time, each source freed once its copy is made: on the
+    # n = 20 rotation a list still alive while the bytes are made adds 4 MB
+    # to the peak
+    moves = tuple(moves)
+    rows = bytes(rows)
+    return Trace(p, moves, tuple(state), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ BAD_INPUT = [
     (["growth", "--nmax", "500"], "2..200"),
     (["count-mn", "--nmax", "1"], "2..200"),
     (["count-mn", "--nmax", "800"], "2..200"),
-    (["words", "--n", "12"], "2,794,864 words, about 811 MB"),
+    (["words", "--n", "12"], "2,794,864 words, about 657 MB"),
 ]
 
 

@@ -129,6 +129,10 @@ def test_apply_word_validation():
     with pytest.raises(WordError):
         apply_word((L(1),), 3)  # L1 with no prior rights
     with pytest.raises(WordError):
+        apply_word((L(-1),), 3)
+    with pytest.raises(WordError):
+        apply_word((R(3), L(0), L(0)), 5)  # R3 needs three prior lefts
+    with pytest.raises(WordError):
         apply_word((L(0),), 4)  # wrong length
     with pytest.raises(WordError):
         check_word((R(1),))
@@ -185,13 +189,37 @@ def test_long_words_canonicalize_and_fire(word):
     assert apply_word(canon, n) == state
     code = code_of(state)
     assert code == "+" * code.count("+") + "-" * code.count("-")
+    assert state == fired_letter_by_letter(word, n)
 
 
 def fired_letter_by_letter(word, n):
+    """The oracle for the counted shapes: each letter reads its shape off the
+    code of the state it fires from."""
     p = swap_ends(n)
     for letter in word:
         p = apply_letter(p, letter)
     return p
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_counted_shapes_match_letter_by_letter(n):
+    # apply_word and walk take each shape from their letter counts, for
+    # every valid word, canonical or not
+    for word, p in walk(n, keep=lambda word, letter: True):
+        assert p == fired_letter_by_letter(word, n)
+        if len(word) == n - 2:
+            assert apply_word(word, n) == p
+
+
+def test_letters_are_shared():
+    for t in range(8):
+        assert L(t) is L(t) and R(t) is R(t)
+        assert (L(t), R(t)) == (FiringLetter("L", t), FiringLetter("R", t))
+    # beyond the shared table, and below it, letters are made fresh
+    assert L(-1) == FiringLetter("L", -1) and R(-1) == FiringLetter("R", -1)
+    assert L(500) == FiringLetter("L", 500)
+    assert list(map(id, next_letters(parse_word("R,L0")))) == list(map(id, (L(0), L(1), R(0), R(1))))
+    assert all(a is L(a.index) for a in canonicalize(parse_word("L0,R1")) if a.side == "L")
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -260,8 +288,13 @@ def test_word_to_partition_validation():
         word_to_partition((R(1),))  # not a restricted word
     with pytest.raises(WordError):
         word_to_partition((L(1),))  # block 2 does not exist yet
-    with pytest.raises(WordError):
+    with pytest.raises(WordError, match=r"blocks do not partition 1..m: \(\(1, 2\), \(2, 3\)\)"):
         partition_to_word(((1, 2), (2, 3)))
+    with pytest.raises(WordError, match="blocks do not partition 1..m"):
+        partition_to_word(((1, 3),))
+    with pytest.raises(WordError, match="partition blocks must be nonempty"):
+        partition_to_word(((1,), ()))
+    assert partition_to_word(((4, 2), (3,), (1,))) == parse_word("R,R,L1")
 
 
 def all_set_partitions(m):
