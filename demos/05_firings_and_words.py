@@ -10,11 +10,12 @@ set partitions, which is how Bell numbers enter the counting.
 """
 from homing import code_of, format_perm, swap_ends
 from homing.firings import (
+    L,
+    R,
+    apply_letter,
     apply_word,
     canonical_words,
     canonicalize,
-    fire_left,
-    fire_right,
     format_partition,
     format_word,
     parse_word,
@@ -24,9 +25,9 @@ from homing.firings import (
 
 t6 = swap_ends(6)
 print(f"gateway state {format_perm(t6)} has code {code_of(t6)!r}")
-q = fire_left(t6, 1)
+q = apply_letter(t6, L(0))  # the short left firing lands at position 1
 print(f"fire left  into pos 1 -> {format_perm(q)}   code {code_of(q)!r}")
-q = fire_right(q, 6)
+q = apply_letter(q, R(1))  # one past the short right firing's position 5
 print(f"fire right into pos 6 -> {format_perm(q)}   code {code_of(q)!r}")
 print()
 

@@ -1,6 +1,6 @@
 """Toolkit for the placement-and-shift ("homing") sorting process.
 
-Everything revolves around four layers:
+The package is built from these modules:
 
 - :mod:`homing.perms`      -- permutations, placements, evictions
 - :mod:`homing.successors` -- all of S_n as one int8 matrix, ranked in bulk
@@ -11,6 +11,8 @@ Everything revolves around four layers:
 - :mod:`homing.counting`   -- counting recurrences and growth tables
 - :mod:`homing.verify`     -- executable invariant suites
 - :mod:`homing.cli`        -- the ``homing`` command-line tool
+- :mod:`homing.atomic`     -- atomic file writes for ``--out`` and table saves
+- :mod:`homing.errors`     -- the exception types shared across the package
 """
 
 from .perms import (

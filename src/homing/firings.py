@@ -9,23 +9,6 @@ position s <= i+1) or to +^(i+1) 0^(k-1) -^j (a right firing, sending the
 bottom value i+2 to some position s >= i+k+2).  A firing is "short" when
 the moved value lands right next to the home block.
 
-A firing is applied as one O(n) splice of the state, its net effect.  The
-displacement block itself (:func:`firing_moves`) is kept as the paper's
-construction and as the oracle that ``homing.verify`` replays against the
-splice.  :func:`walk` visits the canonical prefixes depth first, firing
-each once, and the checks fire every legal letter from every reachable
-prefix state exactly once on top of that walk.
-
-From the gateway the shape needs no reading: after l left and r right
-firings the code is +^r 0^(n-2-l-r) -^l, so :func:`apply_word` and
-:func:`walk` count letters and hand the shape to the splice.  The
-``firings/step-count-and-weight`` check backs that count, reading the code
-of every state it fires from.  :func:`apply_letter`, :func:`fire_left`,
-:func:`fire_right` and :func:`letter_target` take any state and read its
-shape from its code; :func:`apply_letter` fired one letter at a time is the
-oracle the tests hold the counted path to.  Letters of index below 64 are
-made once and shared: ``L(t) is L(t)``.
-
 Recording a left firing into position (i+1)-t as the letter L_t and a
 right firing into position (i+k+2)+t as R_t encodes each schedule as a
 word.  Words are equivalent exactly when they produce the same state; the
@@ -34,6 +17,30 @@ unique canonical representative per state, so the worst-case set is in
 bijection with the canonical words.  Restricting right firings to short
 ones yields words in bijection with set partitions, which is where the
 Bell-number lower bound on the number of worst cases comes from.
+
+A firing is named by its letter only, and applied as one O(n) splice of
+the state, its net effect.  The splice resolves the letter against the
+code shape of the state it fires from, and refuses it with
+:class:`~homing.errors.WordError` unless 0 <= t <= i for L_t and
+0 <= t <= j for R_t, so each letter is checked once, as it fires.  The
+displacement block itself (:func:`firing_moves`) is kept as the paper's
+construction and as the oracle that ``homing.verify`` replays against the
+splice.  :func:`apply_letter` and :func:`firing_moves` take any state and
+read its shape from its code.
+
+From the gateway the shape needs no reading: after l left and r right
+firings the code is +^r 0^(n-2-l-r) -^l, so :func:`apply_word` and
+:func:`walk` count letters and hand the shape to the splice.  There,
+L_t lands in range exactly when t is at most the rights so far, and R_t
+when t is at most the lefts so far, so :func:`apply_word` refuses exactly
+the words that :func:`check_word` refuses.  The
+``firings/step-count-and-weight`` check backs the count, reading the code
+of every state it fires from, and :func:`apply_letter` fired one letter at
+a time is the oracle the tests hold the counted path to.  :func:`walk`
+visits the canonical prefixes depth first, firing each once, and the
+checks fire every legal letter from every reachable prefix state exactly
+once on top of that walk.  Letters of index below 64 are made once and
+shared: ``L(t) is L(t)``.
 """
 from __future__ import annotations
 
@@ -67,7 +74,7 @@ _RIGHTS = tuple(FiringLetter(RIGHT, t) for t in range(_SHARED))
 
 def L(index: int = 0) -> FiringLetter:
     # a negative index must not wrap around the table: it makes a fresh
-    # letter, which check_word and apply_letter reject
+    # letter, which check_word and the firings reject
     return _LEFTS[index] if 0 <= index < _SHARED else FiringLetter(LEFT, index)
 
 
@@ -113,48 +120,49 @@ def _left_moves(i: int, k: int, s: int) -> list[DisplacementMove]:
     return moves
 
 
-def _check_target(n: int, shape: tuple[int, int, int], side: str, target: int) -> None:
-    """Raise unless a firing on ``side`` may land at ``target`` on a state of
-    code shape (i, k, j): 1..i+1 on the left, i+k+2..n on the right."""
+def _landing(shape: tuple[int, int, int], letter: FiringLetter) -> int:
+    """The position ``letter``'s firing lands at on a state of code shape
+    (i, k, j): (i+1)-t for L_t, which needs 0 <= t <= i, and (i+k+2)+t for
+    R_t, which needs 0 <= t <= j."""
     i, k, j = shape
+    side, t = letter
     if side == LEFT:
-        lo, hi, label = 1, i + 1, "left"
+        target, room = i + 1 - t, i
     elif side == RIGHT:
-        lo, hi, label = i + k + 2, n, "right"
+        target, room = i + k + 2 + t, j
     else:
-        raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    if not lo <= target <= hi:
+        raise WordError(f"letter has invalid side {side!r}")
+    if not 0 <= t <= room:
         raise WordError(
-            f"{label} firing target {target} outside {lo}..{hi} for code "
+            f"letter {format_letter(letter)} needs an index in 0..{room} on code "
             f"shape (+^{i} 0^{k} -^{j})"
         )
+    return target
 
 
-def firing_moves(p: Perm, side: str, target: int) -> list[DisplacementMove]:
-    """The displacement block of a firing on ``p``, without applying it.
+def firing_moves(p: Perm, letter: FiringLetter) -> list[DisplacementMove]:
+    """The displacement block of ``letter``'s firing on ``p``, without
+    applying it.
 
-    Left firings require 1 <= target <= i+1; right firings require
-    i+k+2 <= target <= n, where the current code is +^i 0^k -^j.  Replaying
-    the block one :func:`~homing.perms.displace` at a time is the oracle for
-    the splice that :func:`fire_left`, :func:`fire_right` and
-    :func:`apply_letter` apply.
+    Replaying the block one :func:`~homing.perms.displace` at a time is the
+    oracle for the splice that :func:`apply_letter` applies.
     """
     n = len(p)
     i, k, j = shape = _firable_shape(p)
-    _check_target(n, shape, side, target)
-    if side == LEFT:
-        return _left_moves(i, k, target)
+    s = _landing(shape, letter)
+    if letter.side == LEFT:
+        return _left_moves(i, k, s)
     # mirror image: reflect, fire left, reflect back
-    mirrored = _left_moves(j, k, n + 1 - target)
+    mirrored = _left_moves(j, k, n + 1 - s)
     return [DisplacementMove(n + 1 - v, n + 1 - t) for v, t in mirrored]
 
 
-def _fire(p: Perm, shape: tuple[int, int, int], side: str, target: int) -> Perm:
-    """The net effect of a firing's whole displacement block, in O(n)."""
-    _check_target(len(p), shape, side, target)
+def _fire(p: Perm, shape: tuple[int, int, int], letter: FiringLetter) -> Perm:
+    """The net effect of ``letter``'s whole displacement block on a state of
+    code shape ``shape``, in O(n)."""
+    s = _landing(shape, letter)
     i, k, _ = shape
-    s = target
-    if side == LEFT:
+    if letter.side == LEFT:
         # value i+k+1 moves to position s, positions s..i shift right by one,
         # and the value that was at position i+1 lands at position i+k+1
         return p[:s - 1] + (i + k + 1,) + p[s - 1:i] + p[i + 1:i + k] + (p[i],) + p[i + k + 1:]
@@ -164,62 +172,33 @@ def _fire(p: Perm, shape: tuple[int, int, int], side: str, target: int) -> Perm:
     return p[:i + 1] + (p[i + k + 1],) + p[i + 2:i + k + 1] + p[i + k + 2:s] + (i + 2,) + p[s:]
 
 
-def fire_left(p: Perm, target: int) -> Perm:
-    """Fire the top of the home block to the left, landing at ``target``."""
-    return _fire(p, _firable_shape(p), LEFT, target)
-
-
-def fire_right(p: Perm, target: int) -> Perm:
-    """Mirror image of :func:`fire_left`; equals the reflection conjugate."""
-    return _fire(p, _firable_shape(p), RIGHT, target)
-
-
 # ---------------------------------------------------------------------------
 # words
 # ---------------------------------------------------------------------------
 
-def _letter_target(n: int, shape: tuple[int, int, int], letter: FiringLetter) -> int:
-    i, k, _ = shape
-    target = (i + 1) - letter.index if letter.side == LEFT else (i + k + 2) + letter.index
-    if not 1 <= target <= n:
-        raise WordError(
-            f"letter {format_letter(letter)} needs {letter.index} prior firings "
-            f"on the opposite side"
-        )
-    return target
-
-
-def letter_target(p: Perm, letter: FiringLetter) -> int:
-    """The position a letter's firing lands at on ``p``: (i+1)-t for L_t and
-    (i+k+2)+t for R_t, where the code of ``p`` is +^i 0^k -^j."""
-    return _letter_target(len(p), _firable_shape(p), letter)
-
-
 def apply_letter(p: Perm, letter: FiringLetter) -> Perm:
     """One firing, with the letter's offset resolved against the current code."""
-    shape = _firable_shape(p)
-    return _fire(p, shape, letter.side, _letter_target(len(p), shape, letter))
+    return _fire(p, _firable_shape(p), letter)
 
 
 def _apply_counted(p: Perm, lefts: int, rights: int, letter: FiringLetter) -> Perm:
     """:func:`apply_letter` on a state that ``lefts`` left and ``rights``
     right firings made from the gateway, whose code is therefore
     +^rights 0^(n-2-lefts-rights) -^lefts."""
-    n = len(p)
-    shape = (rights, n - 2 - lefts - rights, lefts)
-    return _fire(p, shape, letter.side, _letter_target(n, shape, letter))
+    return _fire(p, (rights, len(p) - 2 - lefts - rights, lefts), letter)
 
 
 def apply_word(word: FiringWord, n: int) -> Perm:
     """Run a full schedule of n-2 firings from the gateway state swap_ends(n).
 
-    The result always lies in the worst-case set.
+    The result always lies in the worst-case set.  A letter that the counting
+    conditions of :func:`check_word` refuse raises :class:`WordError` when it
+    is fired.
     """
     if n < 2:
         raise InputError(f"words need n >= 2, got {n}")
     if len(word) != n - 2:
         raise WordError(f"word length {len(word)} does not match n-2 = {n - 2}")
-    check_word(word)
     p = swap_ends(n)
     lefts = rights = 0
     for letter in word:
@@ -291,13 +270,11 @@ def short_firing_image(n: int) -> set[Perm]:
     """States reached from the gateway by the 2^(n-2) all-short schedules.
 
     Distinct schedules give distinct states, so the returned set has
-    exactly 2^(n-2) elements; each lies in the worst-case set.
+    exactly 2^(n-2) elements, each in the worst-case set; the
+    ``firings/short-firing-injectivity`` check holds it to that.
     """
     shorts = walk(n, keep=lambda word, letter: letter.index == 0)
-    states = {p for word, p in shorts if len(word) == n - 2}
-    if len(states) != 1 << (n - 2):
-        raise AssertionError("short firing schedules collided")
-    return states
+    return {p for word, p in shorts if len(word) == n - 2}
 
 
 def next_letters(word: FiringWord) -> tuple[FiringLetter, ...]:

@@ -56,7 +56,6 @@ from .firings import (
     firing_moves,
     format_word,
     is_canonical,
-    letter_target,
     next_letters,
     partition_to_word,
     restricted_words,
@@ -537,8 +536,8 @@ def check_firing_steps(nmax: int) -> Cases:
             i, k, j = code_shape(code_of(p))
             for letter in next_letters(word):
                 fired = word + (letter,)
-                s = letter_target(p, letter)
-                moves = firing_moves(p, letter.side, s)
+                s = i + 1 - letter.index if letter.side == "L" else i + k + 2 + letter.index
+                moves = firing_moves(p, letter)
                 if len(moves) != 1 << (k - 1):
                     yield f"n={n} {format_word(fired)}: block size {len(moves)}"
                 q, code = p, code_of(p)
@@ -569,7 +568,7 @@ def check_schedule_total(nmax: int) -> Cases:
             depth = len(word)
             if depth:
                 parent, letter = states[depth - 1], word[-1]
-                moves = firing_moves(parent, letter.side, letter_target(parent, letter))
+                moves = firing_moves(parent, letter)
                 states[depth], spent[depth] = p, spent[depth - 1] + len(moves)
             if depth == n - 2:
                 if spent[depth] != (1 << (n - 2)) - 1:

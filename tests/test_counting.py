@@ -64,13 +64,6 @@ def test_split_count_matches_word_language(n):
         assert split_count(i, n - i) == by_rights.get(i - 1, 0)
 
 
-def test_worst_case_count_matches_exhaustive_tables():
-    from homing.heights import worst_case_permutations
-
-    for n in range(2, 7):
-        assert worst_case_count(n) == len(worst_case_permutations(n))
-
-
 def test_bounds_bell_and_factorial():
     for n in range(2, 31):
         mn = worst_case_count(n)

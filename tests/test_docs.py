@@ -1,0 +1,88 @@
+"""Every cross-reference in the package's source names something that exists.
+
+A docstring or comment that names a function, class, module, method or
+datum with ``:func:``, ``:class:``, ``:mod:``, ``:meth:`` or ``:data:`` must
+name one that resolves, so a rename or a deletion cannot leave a stale name
+behind.  A dotted name starting with ``homing`` resolves from the package; any
+other name resolves in the module that holds the reference, and a ``:meth:``
+name against the classes of that module.
+"""
+import importlib
+import inspect
+import pkgutil
+import re
+
+import pytest
+
+import homing
+
+REFERENCE = re.compile(r":(func|mod|class|meth|data):`~?\.?([\w.]+)`")
+MISSING = object()
+# importing homing.__main__ runs the CLI, so its source is not searched
+MODULES = ["homing"] + [
+    f"homing.{info.name}" for info in pkgutil.iter_modules(homing.__path__) if info.name != "__main__"
+]
+
+KIND = {
+    "func": callable,
+    "meth": callable,
+    "class": inspect.isclass,
+    "mod": inspect.ismodule,
+    "data": lambda obj: True,
+}
+
+
+def lookup(obj, attrs):
+    for attr in attrs:
+        obj = getattr(obj, attr, MISSING)
+        if obj is MISSING:
+            break
+    return obj
+
+
+def resolve(module, role, name):
+    """The object ``name`` names from ``module``, or MISSING."""
+    parts = name.split(".")
+    if parts[0] == "homing":
+        # the longest importable module prefix, then attributes of it
+        for cut in range(len(parts), 0, -1):
+            try:
+                return lookup(importlib.import_module(".".join(parts[:cut])), parts[cut:])
+            except ModuleNotFoundError:
+                continue
+    found = lookup(module, parts)
+    if found is MISSING and role == "meth":
+        classes = [c for _, c in inspect.getmembers(module, inspect.isclass)
+                   if c.__module__ == module.__name__]
+        for cls in classes:
+            found = lookup(cls, parts)
+            if found is not MISSING:
+                break
+    return found
+
+
+def references(module_name):
+    return REFERENCE.findall(inspect.getsource(importlib.import_module(module_name)))
+
+
+def test_references_are_found():
+    assert sum(len(references(m)) for m in MODULES) > 50
+    assert ("meth", "lines") in references("homing.strategies")
+    assert ("data", "FORMATS") in references("homing.cli")
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_references_resolve(module_name):
+    module = importlib.import_module(module_name)
+    for role, name in references(module_name):
+        found = resolve(module, role, name)
+        assert found is not MISSING, f"{module_name}: :{role}:`{name}` names nothing"
+        assert KIND[role](found), f"{module_name}: :{role}:`{name}` is not a {role}"
+
+
+def test_a_stale_reference_fails():
+    firings = importlib.import_module("homing.firings")
+    assert resolve(firings, "func", "apply_letter") is firings.apply_letter
+    assert resolve(firings, "func", "no_such_function") is MISSING
+    assert resolve(firings, "func", "homing.firings.no_such_function") is MISSING
+    assert resolve(firings, "meth", "lines") is MISSING  # no class of firings has it

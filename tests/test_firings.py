@@ -1,4 +1,6 @@
 """Firing blocks, firing words, canonicalization, and the partition bijection."""
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,6 @@ from homing.firings import (
     canonicalize,
     check_word,
     code_shape,
-    fire_left,
-    fire_right,
     firing_moves,
     format_partition,
     format_word,
@@ -38,8 +38,9 @@ from homing.firings import (
     walk,
     word_to_partition,
 )
+from homing import firings
 from homing.heights import worst_case_permutations
-from homing.verify import check_confluence, check_word_bijection
+from homing.verify import check_confluence, check_short_firing_injectivity, check_word_bijection
 
 
 # -- code shapes ---------------------------------------------------------------
@@ -51,68 +52,69 @@ def test_code_shape():
     with pytest.raises(CodeShapeError):
         code_shape("+0+0")
     with pytest.raises(CodeShapeError):
-        firing_moves((1, 3, 2, 4), "L", 1)  # code "0-0" has no block shape
+        firing_moves((2, 1, 4, 3), L(0))  # code "-+" has no block shape
 
 
 # -- single firings ---------------------------------------------------------------
 
 def test_smallest_firings():
     t3 = swap_ends(3)
-    assert firing_moves(t3, "L", 1) == [(2, 1)]
-    assert fire_left(t3, 1) == (2, 3, 1)
-    assert code_of(fire_left(t3, 1)) == "-"
-    assert firing_moves(t3, "R", 3) == [(2, 3)]
-    assert fire_right(t3, 3) == (3, 1, 2)
-    assert code_of(fire_right(t3, 3)) == "+"
+    assert firing_moves(t3, L(0)) == [(2, 1)]
+    assert apply_letter(t3, L(0)) == (2, 3, 1)
+    assert code_of(apply_letter(t3, L(0))) == "-"
+    assert firing_moves(t3, R(0)) == [(2, 3)]
+    assert apply_letter(t3, R(0)) == (3, 1, 2)
+    assert code_of(apply_letter(t3, R(0))) == "+"
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_full_left_firing_from_gateway(n):
     p = swap_ends(n)
-    moves = firing_moves(p, "L", 1)
+    moves = firing_moves(p, L(0))
     assert len(moves) == 1 << (n - 3)
-    q = fire_left(p, 1)
+    q = apply_letter(p, L(0))
     assert code_of(q) == "0" * (n - 3) + "-"
 
 
 @pytest.mark.parametrize("n", range(3, 7))
-def test_fire_right_is_mirror_of_fire_left(n):
+def test_right_letter_is_mirror_of_left_letter(n):
     for word, p in walk(n):
         if len(word) == n - 2:
             continue
         i, k, j = code_shape(code_of(p))
-        for s in range(i + k + 2, n + 1):
-            mirrored = fire_left(reverse_complement(p), n + 1 - s)
-            assert fire_right(p, s) == reverse_complement(mirrored)
+        for t in range(j + 1):
+            mirrored = apply_letter(reverse_complement(p), L(t))
+            assert apply_letter(p, R(t)) == reverse_complement(mirrored)
 
 
 def test_firing_target_validation():
     t5 = swap_ends(5)
     with pytest.raises(WordError):
-        fire_left(t5, 2)  # only position 1 available while i = 0
+        apply_letter(t5, L(-1))  # position 2, but only position 1 is open while i = 0
     with pytest.raises(WordError):
-        fire_right(t5, 4)  # right targets start at i+k+2 = 5
+        apply_letter(t5, R(-1))  # position 4, but right targets start at i+k+2 = 5
 
 
-# bad input, and the error each call raised while it replayed the block
+# bad input, and the error that both the splice and the displacement block raise
 @pytest.mark.parametrize(
     "fire, p, arg, error",
     [
-        (fire_left, (1, 3, 2, 4), 1, CodeShapeError),  # code "0-" is no block shape
-        (fire_right, (2, 3, 4, 1), 4, CodeShapeError),  # code "--" has no home block
-        (fire_left, swap_ends(5), 0, WordError),
-        (fire_right, swap_ends(5), 6, WordError),
-        (apply_letter, (1, 3, 2, 4), L(0), CodeShapeError),
-        (apply_letter, swap_ends(5), L(1), WordError),  # needs a prior right
+        (apply_letter, (1, 3, 2, 4), L(0), CodeShapeError),  # code "+-" has no home block
+        (apply_letter, (2, 3, 4, 1), R(0), CodeShapeError),  # code "--" has no home block
+        (apply_letter, swap_ends(5), L(1), WordError),  # lands at position 0
+        (apply_letter, swap_ends(5), R(1), WordError),  # lands at position 6
+        (apply_letter, (2, 1, 4, 3), L(0), CodeShapeError),  # code "-+" is no block shape
+        (apply_letter, (5, 1, 3, 4, 2), L(2), WordError),  # needs two prior rights, has one
         (apply_letter, swap_ends(5), R(3), WordError),  # lands beyond position n
         (apply_letter, swap_ends(5), L(-1), WordError),
-        (apply_letter, swap_ends(5), FiringLetter("X", 0), ValueError),
+        (apply_letter, swap_ends(5), FiringLetter("X", 0), WordError),
     ],
 )
 def test_splice_errors(fire, p, arg, error):
-    with pytest.raises(error) as caught:
-        fire(p, arg)
-    assert type(caught.value) is error
+    for call in (fire, firing_moves):
+        with pytest.raises(error) as caught:
+            call(p, arg)
+        assert type(caught.value) is error
 
 
 # -- words -----------------------------------------------------------------------
@@ -136,6 +138,22 @@ def test_apply_word_validation():
         apply_word((L(0),), 4)  # wrong length
     with pytest.raises(WordError):
         check_word((R(1),))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_apply_word_refuses_exactly_what_check_word_refuses(n):
+    # every word of n-2 letters over L_t and R_t, t in -1..n-2, and a bad
+    # side: apply_word checks each letter as it fires it, with no word pass
+    alphabet = [L(t) for t in range(-1, n - 1)] + [R(t) for t in range(-1, n - 1)]
+    alphabet.append(FiringLetter("X", 0))
+    for word in itertools.product(alphabet, repeat=n - 2):
+        try:
+            check_word(word)
+        except WordError:
+            with pytest.raises(WordError):
+                apply_word(word, n)
+        else:
+            apply_word(word, n)
 
 
 def test_canonicalize_example():
@@ -267,6 +285,25 @@ def test_short_firing_image(n, size):
     image = short_firing_image(n)
     assert len(image) == size == 1 << (n - 2)
     assert image <= set(worst_case_permutations(n))
+
+
+def test_short_firing_collision_fails_the_check(monkeypatch):
+    # two short schedules sent to one state must print a FAIL line, not raise
+    real_walk = firings.walk
+
+    def colliding_walk(n, keep):
+        ends = []
+        for word, p in real_walk(n, keep):
+            if len(word) == n - 2:
+                ends.append(p)
+                if len(ends) == 2:
+                    p = ends[0]
+            yield word, p
+
+    monkeypatch.setattr(firings, "walk", colliding_walk)
+    assert len(short_firing_image(4)) == 3
+    result = check_short_firing_injectivity(4)
+    assert not result.passed and result.detail == "n=3: image size 1"
 
 
 def test_short_firing_image_strict_at_4():
