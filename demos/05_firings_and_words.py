@@ -40,7 +40,7 @@ print()
 
 print("canonical words and the worst-case counts they enumerate:")
 for n in range(2, 9):
-    words = canonical_words(n)
+    words = list(canonical_words(n))
     shorts = short_firing_image(n)
     print(f"  n={n}: {len(words):5} words, {len(shorts):4} from short firings alone")
 print()

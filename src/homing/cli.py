@@ -5,7 +5,7 @@ Subcommands map one-to-one onto the library:
 - ``sort`` / ``trace``   run a strategy and print trace lines
 - ``height``             longest placement distance of one permutation
 - ``min-steps``          shortest placement distance (BFS)
-- ``enum-mn``            the worst-case set at size n, as JSON
+- ``enum-mn``            the worst-case set at size n, as JSON or text
 - ``count-mn``           worst-case counts from the recurrence, as CSV
 - ``words``              the canonical firing words of length n-2
 - ``canon``              canonical form of a firing word
@@ -18,19 +18,22 @@ Exit status: 0 on success, 1 when ``verify`` finds a failure, 2 on bad
 input only: argparse's usage errors (including a ``--format`` the
 subcommand does not accept, see :data:`FORMATS`), :class:`InputError`
 (malformed permutation/word/partition text, an argument out of range, a
-seed given to a strategy that draws nothing) and :class:`CapacityError`.
+seed given to a strategy that draws nothing) and :class:`CapacityError`;
+141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Any other exception is a bug and propagates.  Output is byte-deterministic
 given identical flags and seed.  ``--out FILE`` writes atomically through
 :func:`homing.atomic.write_atomic`, so an interrupt never leaves a
-half-written file; ``trace``/``sort`` stream one chunk per block of steps.
+half-written file; ``trace``/``sort`` stream one chunk per block of steps,
+and ``words`` and ``enum-mn`` one item at a time.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .atomic import write_atomic
 from .counting import MAX_NMAX, growth_csv, growth_table, worst_case_count
@@ -45,8 +48,8 @@ from .firings import (
     partition_to_word,
     word_to_partition,
 )
-from .heights import DEFAULT_CAP, build_height_table, height, members_json
-from .perms import parse_perm
+from .heights import DEFAULT_CAP, height, worst_case_permutations
+from .perms import format_perm, parse_perm
 from .strategies import (
     DEFAULT_SEARCH_CAP,
     STRATEGIES,
@@ -58,9 +61,7 @@ from .verify import run_suite, suite_names
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
-
-_WORDS_MAX_N = 11  # 368,848 words; n = 12 would hold 2,794,864
-_WORD_BYTES = 235  # peak bytes per word held while listing them (VmHWM over import, n = 11)
+BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a producer the pipe killed
 
 # subcommand -> (default --format, the formats it accepts); argparse rejects
 # any other format with exit code 2
@@ -84,10 +85,23 @@ def _write_output(chunks: Iterable[str], out: str | None) -> None:
     """Write text chunks to stdout, or atomically to ``out`` one chunk at a
     time."""
     if out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, in main, not at interpreter exit
     else:
         write_atomic(out, (chunk.encode() for chunk in chunks))
+
+
+def _listing(items: Iterable[str], fmt: str) -> Iterator[str]:
+    """Output chunks for a list, one item text at a time: a line per item,
+    or for json ``[`` + the items joined by ``, `` + ``]``, byte for byte
+    what ``json.dumps`` gives for the whole list."""
+    if fmt != "json":
+        yield from (item + "\n" for item in items)
+        return
+    yield "["
+    for i, item in enumerate(items):
+        yield ", " + item if i else item
+    yield "]\n"
 
 
 def _scalar(value, label: str, fmt: str) -> str:
@@ -123,13 +137,10 @@ def _cmd_min_steps(args) -> int:
 
 
 def _cmd_enum_mn(args) -> int:
-    table = build_height_table(args.n, cap=args.cap)
-    members = table.members_at((1 << (args.n - 1)) - 1)
-    if args.format == "text":
-        text = "".join(",".join(map(str, p)) + "\n" for p in members)
-    else:
-        text = members_json(members) + "\n"
-    _write_output([text], args.out)
+    perms = map(format_perm, worst_case_permutations(args.n, cap=args.cap))
+    if args.format == "json":
+        perms = ("[" + text.replace(",", ", ") + "]" for text in perms)
+    _write_output(_listing(perms, args.format), args.out)
     return 0
 
 
@@ -146,18 +157,12 @@ def _cmd_count_mn(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    if args.n > _WORDS_MAX_N:
-        count = worst_case_count(args.n)
-        raise CapacityError(
-            f"n={args.n} exceeds the cap {_WORDS_MAX_N} ({count:,} words, about "
-            f"{count * _WORD_BYTES / 1e6:,.0f} MB at {_WORD_BYTES} bytes a word)"
-        )
-    words = canonical_words(args.n)
+    if not 2 <= args.n <= MAX_NMAX:
+        raise InputError(f"n must be in 2..{MAX_NMAX}, got {args.n}")
+    words = map(format_word, canonical_words(args.n))
     if args.format == "json":
-        text = json.dumps([format_word(w) for w in words]) + "\n"
-    else:
-        text = "".join(format_word(w) + "\n" for w in words)
-    _write_output([text], args.out)
+        words = map(json.dumps, words)
+    _write_output(_listing(words, args.format), args.out)
     return 0
 
 
@@ -324,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, CapacityError) as err:
         print(f"homing {args.command}: {err}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout: send the interpreter's final flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
 
 
 if __name__ == "__main__":

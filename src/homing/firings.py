@@ -296,13 +296,12 @@ def _canonical(word: FiringWord, letter: FiringLetter) -> bool:
 def _words(length: int, keep) -> Iterator[FiringWord]:
     """Depth first, the words of ``length`` letters grown by
     :func:`next_letters`, keeping a letter when ``keep(prefix, letter)``."""
+    if length < 0:
+        raise InputError(f"word length must be >= 0, got {length}")
     if length == 0:
-        yield ()
-        return
-    for word in _words(length - 1, keep):
-        for letter in next_letters(word):
-            if keep(word, letter):
-                yield word + (letter,)
+        return iter([()])
+    return (word + (letter,) for word in _words(length - 1, keep)
+            for letter in next_letters(word) if keep(word, letter))
 
 
 def valid_words(length: int) -> Iterator[FiringWord]:
@@ -311,15 +310,15 @@ def valid_words(length: int) -> Iterator[FiringWord]:
     return _words(length, lambda word, letter: True)
 
 
-def canonical_words(n: int) -> list[FiringWord]:
-    """All canonical words of length n-2, in depth-first order.
+def canonical_words(n: int) -> Iterator[FiringWord]:
+    """An iterator over the canonical words of length n-2, in depth-first order.
 
     There are exactly as many as there are worst-case permutations, and
     :func:`apply_word` maps them bijectively onto that set.
     """
     if n < 2:
         raise InputError(f"words need n >= 2, got {n}")
-    return list(_words(n - 2, _canonical))
+    return _words(n - 2, _canonical)
 
 
 def walk(n: int, keep=_canonical) -> Iterator[tuple[FiringWord, Perm]]:
@@ -400,8 +399,8 @@ def partition_to_word(partition: SetPartition) -> FiringWord:
 
 def _validated_partition(partition: SetPartition) -> list[tuple[int, ...]]:
     blocks = [tuple(sorted(b)) for b in partition]
-    if any(not b for b in blocks):
-        raise WordError("partition blocks must be nonempty")
+    if not blocks or not all(blocks):  # every word's partition holds 1, so () has no word
+        raise WordError("partition blocks must be nonempty, and there must be at least one")
     blocks.sort()  # by smallest element, since the blocks must be disjoint
     elements = sorted(chain.from_iterable(blocks))
     if elements != list(range(1, len(elements) + 1)):

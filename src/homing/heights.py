@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterable
 
 import numpy as np
 
@@ -188,12 +187,3 @@ def load_height_table(path) -> HeightTable:
     if size != expected:
         raise ParseError(f"{path}: a table for n = {n} is {expected:,} bytes, found {size:,}")
     return HeightTable(n, np.frombuffer(body, dtype="<i4"))
-
-
-def members_json(members: Iterable[Perm]) -> str:
-    """JSON text for a set of permutations: an array of one-line arrays.
-
-    Byte for byte what ``json.dumps`` gives, built one permutation at a time
-    so that no string per integer is held until the end.
-    """
-    return "[" + ", ".join("[" + ", ".join(map(str, p)) + "]" for p in members) + "]"

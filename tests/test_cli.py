@@ -1,12 +1,18 @@
 """The command-line surface: outputs, formats, exit codes, atomic writes."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homing import InputError, ParseError, WordError, cli
-from homing.cli import FORMATS, main
+from homing.cli import BROKEN_PIPE, FORMATS, main
+from homing.firings import canonical_words, format_word
+from homing.heights import worst_case_permutations
 from homing.strategies import Trace
 
 
@@ -217,14 +223,15 @@ def test_verify_nmax_below_3_is_usage_error(nmax, capsys):
 # word each message must name
 BAD_INPUT = [
     (["trace", "--perm", "3,1,2", "--strategy", "smallest-first", "--seed", "9"], "seed"),
-    (["words", "--n", "1"], "n >= 2"),
+    (["words", "--n", "1"], "2..200"),
     (["enum-mn", "--n", "0"], "n must be >= 1"),
     (["random-sim", "--n", "0", "--seed", "1"], "n must be >= 1"),
     (["random-sim", "--n", "3", "--trials", "0", "--seed", "1"], "trials"),
     (["growth", "--nmax", "500"], "2..200"),
     (["count-mn", "--nmax", "1"], "2..200"),
     (["count-mn", "--nmax", "800"], "2..200"),
-    (["words", "--n", "12"], "2,794,864 words, about 657 MB"),
+    (["words", "--n", "201"], "2..200"),
+    (["bell-bijection", "--partition", ""], "at least one"),
 ]
 
 
@@ -286,3 +293,62 @@ def test_out_writes_atomically(tmp_path, capsys):
     code, direct, _ = run_cli(capsys, "count-mn", "--nmax", "6")
     assert out_file.read_text() == direct
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".homing-")]
+
+
+def test_words_stream_one_at_a_time(tmp_path, monkeypatch, capsys):
+    def cut(n):
+        words = canonical_words(n)
+        yield next(words)
+        yield next(words)
+        raise Interrupted
+
+    monkeypatch.setattr(cli, "canonical_words", cut)
+    out_file = tmp_path / "words.txt"
+    out_file.write_text("old\n")
+    with pytest.raises(Interrupted):
+        main(["words", "--n", "5", "--out", str(out_file)])
+    assert out_file.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["words.txt"]
+    with pytest.raises(Interrupted):
+        main(["words", "--n", "5"])
+    first = format_word(next(canonical_words(5)))
+    assert capsys.readouterr().out.startswith(first + "\n")
+
+
+LISTINGS = [("enum-mn", k) for k in range(1, 8)] + [("words", k) for k in range(2, 9)]
+
+
+@pytest.mark.parametrize("command, k", LISTINGS, ids=[f"{c}-{k}" for c, k in LISTINGS])
+def test_listing_is_json_dumps(command, k, capsys):
+    if command == "enum-mn":
+        items = [list(p) for p in worst_case_permutations(k)]
+        lines = [",".join(map(str, p)) for p in items]
+    else:
+        items = lines = [format_word(w) for w in canonical_words(k)]
+    _, out, _ = run_cli(capsys, command, "--n", str(k), "--format", "json")
+    assert out == json.dumps(items) + "\n"
+    _, out, _ = run_cli(capsys, command, "--n", str(k), "--format", "text")
+    assert out == "".join(line + "\n" for line in lines)
+
+
+ROTATION_16 = ",".join(map(str, [*range(2, 17), 1]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["trace", "--perm", ROTATION_16, "--strategy", "leftmost-not-home"], ["words", "--n", "9"]],
+    ids=["trace", "words"],
+)
+def test_closed_pipe_exits_141_quietly(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "homing", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == BROKEN_PIPE == 141
+    assert err == b""

@@ -1,4 +1,5 @@
-"""Every cross-reference in the package's source names something that exists.
+"""Every cross-reference in the package's source names something that
+exists, and the README's command-line table matches the parser.
 
 A docstring or comment that names a function, class, module, method or
 datum with ``:func:``, ``:class:``, ``:mod:``, ``:meth:`` or ``:data:`` must
@@ -11,10 +12,12 @@ import importlib
 import inspect
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 
 import homing
+from homing.cli import FORMATS
 
 REFERENCE = re.compile(r":(func|mod|class|meth|data):`~?\.?([\w.]+)`")
 MISSING = object()
@@ -86,3 +89,20 @@ def test_a_stale_reference_fails():
     assert resolve(firings, "func", "no_such_function") is MISSING
     assert resolve(firings, "func", "homing.firings.no_such_function") is MISSING
     assert resolve(firings, "meth", "lines") is MISSING  # no class of firings has it
+
+
+def command_table(readme):
+    """Subcommand -> the formats its row lists, from the README's
+    command-line table."""
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for names, formats in re.findall(r"^\|([^|]*)\|[^|]*\|([^|]*)\|$", section, re.M):
+        for name in re.findall(r"`([^`]+)`", names):
+            table[name] = [f.strip() for f in formats.split(",")]
+    return table
+
+
+def test_readme_command_table_matches_formats():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert all(accepted[0] == default for default, accepted in FORMATS.values())
+    assert command_table(readme) == {name: list(accepted) for name, (_, accepted) in FORMATS.items()}

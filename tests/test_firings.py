@@ -1,5 +1,6 @@
 """Firing blocks, firing words, canonicalization, and the partition bijection."""
 import itertools
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -178,7 +179,7 @@ def test_canonical_classes_count_length4():
 
 @pytest.mark.parametrize("n, count", [(2, 1), (3, 2), (4, 5), (5, 16), (6, 62), (9, 8296)])
 def test_canonical_word_counts(n, count):
-    words = canonical_words(n)
+    words = list(canonical_words(n))
     assert len(words) == count
     assert len(set(words)) == count
     for w in words[:: max(1, len(words) // 50)]:
@@ -248,7 +249,7 @@ def test_walk_matches_apply_word(n):
     assert sorted(words) == sorted(w for m in range(2, n + 1) for w in canonical_words(m))
     assert len(set(words)) == len(words)
     assert all(words.index(w[:-1]) < i for i, w in enumerate(words) if w)
-    assert [w for w in words if len(w) == n - 2] == canonical_words(n)
+    assert [w for w in words if len(w) == n - 2] == list(canonical_words(n))
     for word, p in walked:
         assert p == fired_letter_by_letter(word, n)
         if len(word) == n - 2:
@@ -271,6 +272,19 @@ def test_walk_needs_two_values():
             next(walk(n))
         with pytest.raises(InputError):
             short_firing_image(n)
+
+
+def test_word_listings_refuse_bad_lengths_when_called():
+    # refused by the call itself, before any word is drawn; a negative length
+    # used to recurse until RecursionError at the first word
+    for words in (valid_words, restricted_words):
+        with pytest.raises(InputError, match="length must be >= 0, got -1"):
+            words(-1)
+        assert list(words(0)) == [()]
+    for n in (1, 0):
+        with pytest.raises(InputError, match="n >= 2"):
+            canonical_words(n)
+    assert isinstance(canonical_words(4), Iterator)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -331,6 +345,8 @@ def test_word_to_partition_validation():
         partition_to_word(((1, 3),))
     with pytest.raises(WordError, match="partition blocks must be nonempty"):
         partition_to_word(((1,), ()))
+    with pytest.raises(WordError, match="nonempty, and there must be at least one"):
+        partition_to_word(())  # () is the word of {1}, and no word's partition is empty
     assert partition_to_word(((4, 2), (3,), (1,))) == parse_word("R,R,L1")
 
 

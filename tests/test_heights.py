@@ -1,5 +1,4 @@
 """Height tables, worst-case sets, and the pinned-eviction bound."""
-import json
 import random
 import tracemalloc
 
@@ -24,7 +23,6 @@ from homing.heights import (
     height,
     load_height_table,
     max_height,
-    members_json,
     save_height_table,
     stage1_longest,
     worst_case_permutations,
@@ -268,20 +266,6 @@ def test_load_rejects_an_oversized_file_before_reading_it(tmp_path):
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
-
-
-def test_members_json():
-    text = members_json([(2, 1)])
-    assert json.loads(text) == [[2, 1]]
-    assert members_json([]) == json.dumps([])
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_members_json_is_json_dumps(n):
-    table = build_height_table(n)
-    for h in range(table.max() + 1):
-        members = table.members_at(h)
-        assert members_json(members) == json.dumps([list(p) for p in members])
 
 
 def test_tables_are_read_only(tmp_path):
