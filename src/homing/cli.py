@@ -136,10 +136,14 @@ def _cmd_min_steps(args) -> int:
     return 0
 
 
+def _json_perm(p) -> str:
+    """``json.dumps(list(p))`` for a permutation, without building the list."""
+    return "[" + ", ".join(map(str, p)) + "]"
+
+
 def _cmd_enum_mn(args) -> int:
-    perms = map(format_perm, worst_case_permutations(args.n, cap=args.cap))
-    if args.format == "json":
-        perms = ("[" + text.replace(",", ", ") + "]" for text in perms)
+    item = _json_perm if args.format == "json" else format_perm
+    perms = map(item, worst_case_permutations(args.n, cap=args.cap))
     _write_output(_listing(perms, args.format), args.out)
     return 0
 

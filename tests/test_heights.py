@@ -1,4 +1,5 @@
 """Height tables, worst-case sets, and the pinned-eviction bound."""
+import json
 import random
 import tracemalloc
 
@@ -17,7 +18,7 @@ from homing import (
     rotation,
     swap_ends,
 )
-from homing import heights
+from homing import cli, heights
 from homing.heights import (
     build_height_table,
     height,
@@ -266,6 +267,25 @@ def test_load_rejects_an_oversized_file_before_reading_it(tmp_path):
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+def members_json(members):
+    """The JSON text the CLI writes for a list of permutations."""
+    return "".join(cli._listing(map(cli._json_perm, members), "json"))
+
+
+def test_members_json():
+    text = members_json([(2, 1)])
+    assert json.loads(text) == [[2, 1]]
+    assert members_json([]) == json.dumps([]) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_members_json_is_json_dumps(n):
+    table = build_height_table(n)
+    for h in range(table.max() + 1):
+        members = table.members_at(h)
+        assert members_json(members) == json.dumps([list(p) for p in members]) + "\n"
 
 
 def test_tables_are_read_only(tmp_path):
