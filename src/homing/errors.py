@@ -31,4 +31,4 @@ class WordError(InputError):
 
 
 class CycleError(HomingError):
-    """The placement digraph revisited an in-progress state (never expected)."""
+    """The placement digraph has a cycle (never expected): a state revisited or never released."""

@@ -5,15 +5,8 @@ sequence from it to the identity -- the longest path to the sink of the
 placement digraph, which is acyclic.  The maximum over all of S_n is
 2^(n-1) - 1, and the states achieving it are the pessimal starting points.
 
-Heights for all of S_n come from Kahn's topological sort run in rounds
-(Kahn, CACM 5(11), 1962) over :mod:`homing.successors`.
-Every state starts with a count of its placements, one per out-of-place
-value.  Round h releases the states whose count has reached zero, gives
-them height h, and ranks all evictions out of them at once: each eviction
-q -> p is one placement p -> q, so it takes one off p's count.  The round
-in which a state is released is its longest path to the sink.  A state
-never released lies on or above a cycle (there are none), which raises
-:class:`CycleError` rather than looping.  Tables are int32 arrays over
+Heights for all of S_n are the rounds of Kahn's topological sort in
+:func:`homing.successors.release_rounds`.  Tables are int32 arrays over
 immutable bytes, freely shareable between threads, and can be written to
 disk in a small binary format (8-byte header ``HOMH`` + version + n, then
 little-endian int32 heights in rank order).
@@ -27,9 +20,9 @@ from math import factorial
 import numpy as np
 
 from .atomic import write_atomic
-from .errors import CycleError, ParseError
+from .errors import CycleError, InputError, ParseError
 from .perms import Perm, identity, placement_successors, rank, unrank
-from .successors import check_cap, displacement_ranks, perm_matrix
+from .successors import check_cap, release_rounds
 
 DEFAULT_CAP = 10
 
@@ -51,6 +44,8 @@ class HeightTable:
         self.heights.flags.writeable = False
 
     def height_of(self, p: Perm) -> int:
+        if len(p) != self.n:
+            raise InputError(f"the table is for n = {self.n}, got a permutation of length {len(p)}")
         return int(self.heights[rank(p)])
 
     def max(self) -> int:
@@ -68,27 +63,10 @@ class HeightTable:
 def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:
     """Heights for all of S_n by Kahn's topological sort in rounds."""
     check_cap(n, cap)
-    perms = perm_matrix(n)
-    remaining = np.zeros(len(perms), dtype=np.int8)  # placements not yet released
-    for i in range(n):
-        remaining += perms[:, i] != i + 1
-    heights = np.full(len(perms), _UNKNOWN, dtype=np.int32)
-    frontier = np.flatnonzero(remaining == 0)
-    h = 0
-    while len(frontier):
+    rounds = release_rounds(n)
+    heights = np.empty(factorial(n), dtype=np.int32)
+    for h, frontier in enumerate(rounds):
         heights[frontier] = h
-        remaining[frontier] = -1  # released; never reaches 0 again
-        # an int8 step keeps ufunc.at on its no-cast fast path, ~30x a Python 1
-        np.subtract.at(remaining, displacement_ranks(perms[frontier]), np.int8(1))
-        frontier = np.flatnonzero(remaining == 0)
-        h += 1
-    stuck = np.flatnonzero(heights < 0)
-    if len(stuck):
-        raise CycleError(
-            f"placement digraph cycle at n={n}: {len(stuck)} states never released, "
-            f"the first at rank {stuck[0]}"
-        )
-    del perms, remaining, frontier  # freed first, so the copy does not raise the peak
     return HeightTable(n, np.frombuffer(heights.tobytes(), np.int32))
 
 
@@ -125,11 +103,6 @@ def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
         memo[state] = (1 + max(memo[q] for q in succs)) if succs else 0
         stack.pop()
     return memo[p]  # type: ignore[return-value]
-
-
-def max_height(n: int, cap: int = DEFAULT_CAP) -> int:
-    """The largest height over all of S_n; equals 2^(n-1) - 1."""
-    return build_height_table(n, cap).max()
 
 
 def worst_case_permutations(n: int, cap: int = DEFAULT_CAP) -> list[Perm]:

@@ -6,12 +6,9 @@ finish in at most n-1 steps because an extremal value, once home, is never
 dislodged.  The leftmost-not-home rule on the rotation 2,3,...,n,1 walks
 the tower-of-Hanoi pattern and realizes the global maximum 2^(n-1)-1.
 
-Shortest sorts are found by breadth-first search over the placement
-digraph, with states packed into a dense index space by the factorial
-ranking from :mod:`homing.perms`.  The table for all of S_n is one BFS
-from the identity along evictions, run in rounds over
-:mod:`homing.successors`: each round ranks every eviction out of the
-frontier at once and keeps the states not reached before.
+Shortest sorts are breadth-first searches over the placement digraph, with
+states packed by factorial rank (:mod:`homing.perms`); the table for all of
+S_n takes the rounds of :func:`homing.successors.release_rounds`.
 
 A run places each state once, with :func:`homing.perms.place_inplace` on
 one packed row, and appends the row to a packed buffer that the trace
@@ -42,7 +39,7 @@ import numpy as np
 
 from .errors import InputError
 from .perms import Perm, identity, place, place_inplace, placeable_values, rank
-from .successors import check_cap, code_signs, code_weights, displacement_ranks, perm_matrix
+from .successors import check_cap, code_signs, code_weights, release_rounds
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -326,32 +323,20 @@ def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
 
 
 def min_placements_table(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bytearray:
-    """``min_placements`` for every permutation at once, indexed by rank.
-
-    One BFS from the identity along displacements covers all states,
-    because a displacement is exactly a placement run backwards.
-    """
+    """``min_placements`` for every permutation at once, indexed by rank: BFS
+    rounds from the identity along displacements, placements run backwards."""
     check_cap(n, cap)
-    perms = perm_matrix(n)
-    dist = np.full(len(perms), 255, dtype=np.uint8)
-    dist[0] = 0  # the identity has rank 0
-    frontier = np.flatnonzero(dist == 0)
-    depth = 0
-    while len(frontier):
-        depth += 1
-        reached = displacement_ranks(perms[frontier])
-        dist[reached[dist[reached] == 255]] = depth
-        frontier = np.flatnonzero(dist == depth)
-    table = bytearray(dist)
-    assert 255 not in table
-    return table
+    rounds = release_rounds(n, shortest=True)
+    dist = np.empty(factorial(n), dtype=np.uint8)
+    for depth, frontier in enumerate(rounds):
+        dist[frontier] = depth
+    return bytearray(dist)
 
 
 def unique_worst_case_check(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bool:
     """True iff the reversal is the only permutation needing n-1 placements."""
     dist = min_placements_table(n, cap)
-    worst = [r for r, d in enumerate(dist) if d == n - 1]
-    return worst == [factorial(n) - 1]  # the reversal ranks last
+    return dist.count(n - 1) == 1 and dist[-1] == n - 1  # the reversal ranks last
 
 
 def smallest_first_steps(p: Perm) -> int:

@@ -8,8 +8,8 @@ Row r of :func:`perm_matrix` is the permutation of rank r (see
 the placement digraph handles one whole frontier per numpy call instead of
 one state per Python loop.  :func:`code_signs` and :func:`code_weights`
 are the weight kernel, the code and weight of many states at once.  Height
-and BFS tables, traces and the lemma checks all run on this layer;
-:mod:`homing.codes` stays the definition of codes and weights.
+and BFS tables come from :func:`release_rounds`; traces and the lemma checks
+run on this layer too, and :mod:`homing.codes` defines codes and weights.
 
 The layer lives apart from :mod:`homing.perms` and :mod:`homing.codes` so
 that the tuple-level API stays importable without numpy.  Everything here
@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, CycleError, InputError
 
 _MAX_RANK_N = 12  # 12! - 1 is the largest rank that fits in int32
 
@@ -40,9 +41,11 @@ def check_cap(n: int, cap: int) -> None:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if n > cap:
+        held = layer_bytes(n)
+        size = f"{held / 1e6:,.0f} MB" if held >= 1e6 else f"{held:,} bytes"
         raise CapacityError(
             f"n={n} exceeds the cap {cap} ({factorial(n)} states, "
-            f"about {layer_bytes(n) / 1e6:,.0f} MB: n!*(n+5) bytes plus the frontier); "
+            f"about {size}: n!*(n+5) bytes plus the frontier); "
             f"raise the cap explicitly to proceed"
         )
 
@@ -137,6 +140,45 @@ def displacement_sources(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [np.repeat(np.flatnonzero(rows[:, v - 1] == v), n - 1) for v in range(1, n + 1)]
     )
+
+
+def release_rounds(n: int, shortest: bool = False) -> Iterator[np.ndarray]:
+    """The ranks of S_n released in each round of Kahn's topological sort
+    (Kahn, CACM 5(11), 1962) of the placement digraph, ascending in a round.
+
+    A state's count of placements still to be released starts at one per
+    out-of-place value, so that round h holds the states of height h; with
+    ``shortest`` it starts at 1 for all but the identity, so that round d
+    holds the states d placements sort (a BFS).  A round releases the
+    states at count zero, and each eviction q -> p out of them, a placement
+    p -> q, takes one off p's count.  All states but the identity have a
+    placement, so one never released lies on or above a cycle (there are
+    none) and raises :class:`CycleError`.  n is refused before any round.
+
+    >>> [r.tolist() for r in release_rounds(3, shortest=True)]
+    [[0], [1, 2, 3, 4], [5]]
+    """
+    return _rounds(n, perm_matrix(n), shortest)
+
+
+def _rounds(n: int, rows: np.ndarray, shortest: bool) -> Iterator[np.ndarray]:
+    remaining = np.zeros(len(rows), dtype=np.int8)
+    if shortest:
+        remaining[1:] = 1  # all but the identity, rank 0
+    else:
+        for i in range(n):
+            remaining += rows[:, i] != i + 1
+    while len(frontier := np.flatnonzero(remaining <= 0)):
+        yield frontier
+        remaining[frontier] = 127  # released: above n after the <= n hits still to come
+        # an int8 step keeps ufunc.at on its no-cast fast path, ~30x a Python 1
+        np.subtract.at(remaining, displacement_ranks(rows[frontier]), np.int8(1))
+    stuck = np.flatnonzero(remaining <= n)  # unreleased counts lie in 1..n
+    if len(stuck):
+        raise CycleError(
+            f"placement digraph cycle at n={n}: {len(stuck)} states never released, "
+            f"the first at rank {stuck[0]}"
+        )
 
 
 def code_signs(positions: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from homing import (
     CapacityError,
     CycleError,
+    InputError,
     ParseError,
     all_perms,
     code_of,
@@ -23,7 +24,6 @@ from homing.heights import (
     build_height_table,
     height,
     load_height_table,
-    max_height,
     save_height_table,
     stage1_longest,
     worst_case_permutations,
@@ -65,9 +65,9 @@ def test_table_matches_point_queries_sampled_n8():
 
 
 def test_unreleased_states_raise_cycle_error(monkeypatch):
-    import homing.heights as heights_module
+    import homing.successors as successors_module
 
-    real = heights_module.displacement_ranks
+    real = successors_module.displacement_ranks
 
     def with_back_edge(rows):
         ranks = real(rows)
@@ -77,14 +77,9 @@ def test_unreleased_states_raise_cycle_error(monkeypatch):
             ranks[0] = 0
         return ranks
 
-    monkeypatch.setattr(heights_module, "displacement_ranks", with_back_edge)
+    monkeypatch.setattr(successors_module, "displacement_ranks", with_back_edge)
     with pytest.raises(CycleError, match="never released"):
         build_height_table(5)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_max_height(n):
-    assert max_height(n) == (1 << (n - 1)) - 1
 
 
 def test_height_examples():
@@ -135,6 +130,13 @@ def test_table_consistent_with_point_queries():
     table = build_height_table(6)
     for p in list(all_perms(6))[::37]:
         assert table.height_of(p) == height(p)
+
+
+def test_height_of_refuses_a_permutation_of_another_length():
+    table = build_height_table(5)
+    for p in ((2, 1), (1,), tuple(range(1, 8))):
+        with pytest.raises(InputError, match=f"n = 5, got a permutation of length {len(p)}"):
+            table.height_of(p)
 
 
 # -- stage-1 pinned eviction ----------------------------------------------------

@@ -4,15 +4,33 @@ from math import factorial
 import numpy as np
 import pytest
 
-from homing import CapacityError, all_perms, code_of, displacement_successors, rank, unrank, weight
+from homing import (
+    CapacityError,
+    CycleError,
+    all_perms,
+    code_of,
+    displacement_successors,
+    heights,
+    rank,
+    strategies,
+    successors,
+    unrank,
+    weight,
+)
+from homing.heights import build_height_table
+from homing.strategies import min_placements_table
 from homing.successors import (
+    check_cap,
     code_signs,
     code_weights,
     displacement_ranks,
     displacement_sources,
     perm_matrix,
     rank_rows,
+    release_rounds,
 )
+
+TABLES = [build_height_table, min_placements_table]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -79,3 +97,60 @@ def test_perm_matrix_refuses_ranks_beyond_int32_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "empty", no_allocation)
     with pytest.raises(CapacityError, match="n <= 12"):
         perm_matrix(13)
+
+
+@pytest.mark.parametrize("shortest", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_release_rounds_release_every_rank_once(n, shortest):
+    rounds = [r.tolist() for r in release_rounds(n, shortest)]
+    assert sorted(r for ranks in rounds for r in ranks) == list(range(factorial(n)))
+    assert all(ranks == sorted(ranks) for ranks in rounds)
+    if shortest:  # a BFS: only the reversal needs n - 1 placements
+        assert len(rounds) == n and rounds[-1] == [factorial(n) - 1]
+    else:  # heights 0 .. 2^(n-1) - 1
+        assert len(rounds) == 1 << (n - 1)
+
+
+@pytest.mark.parametrize("build", TABLES)
+def test_both_tables_raise_one_cycle_error(monkeypatch, build):
+    """Every eviction into the reversal of 1..5 is sent to the identity
+    instead, so the reversal is never released by either table."""
+    real = successors.displacement_ranks
+    last = factorial(5) - 1
+
+    def without_the_reversal(rows):
+        ranks = real(rows)
+        ranks[ranks == last] = 0
+        return ranks
+
+    monkeypatch.setattr(successors, "displacement_ranks", without_the_reversal)
+    with pytest.raises(CycleError, match="at n=5: .* never released"):
+        build(5)
+    with pytest.raises(CycleError, match=f"1 states never released, the first at rank {last}"):
+        list(release_rounds(5, shortest=True))
+
+
+@pytest.mark.parametrize("build", TABLES)
+def test_tables_refuse_ranks_beyond_int32_before_allocating(monkeypatch, build):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the 13! table was allocated")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(CapacityError, match="n <= 12"):
+        build(13, cap=13)
+
+
+@pytest.mark.parametrize("module", [heights, strategies], ids=lambda m: m.__name__)
+def test_tables_take_their_rounds_from_release_rounds(module):
+    """One round loop: the table modules neither build the matrix nor rank
+    evictions themselves."""
+    assert not {"perm_matrix", "displacement_ranks"} & vars(module).keys()
+
+
+def test_capacity_estimates_below_a_megabyte_are_in_bytes():
+    with pytest.raises(CapacityError, match=r"\(2 states, about 14 bytes: "):
+        check_cap(2, 1)
+    with pytest.raises(CapacityError, match=r"about 524,160 bytes"):
+        check_cap(8, 7)
+    with pytest.raises(CapacityError, match=r"about 5 MB"):
+        check_cap(9, 8)
