@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
-from .perms import Perm, identity, placement_successors, rank, unrank
+from .perms import Perm, identity, is_permutation, placement_successors, rank, unrank
 from .successors import check_cap, release_rounds
 
 DEFAULT_CAP = 10
@@ -46,6 +46,8 @@ class HeightTable:
     def height_of(self, p: Perm) -> int:
         if len(p) != self.n:
             raise InputError(f"the table is for n = {self.n}, got a permutation of length {len(p)}")
+        if not is_permutation(p):
+            raise InputError(f"not a permutation of 1..{self.n}: {tuple(p)!r}")
         return int(self.heights[rank(p)])
 
     def max(self) -> int:

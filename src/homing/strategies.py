@@ -1,10 +1,17 @@
-"""Homing strategies, shortest sorts, and random homing.
+"""Homing strategies and their step tables, shortest sorts, and random homing.
 
 A strategy picks which out-of-place value to place next.  The extremal
 strategies (smallest-first, largest-first, and the alternating variant)
 finish in at most n-1 steps because an extremal value, once home, is never
 dislodged.  The leftmost-not-home rule on the rotation 2,3,...,n,1 walks
 the tower-of-Hanoi pattern and realizes the global maximum 2^(n-1)-1.
+
+A deterministic strategy also has a step table over all of S_n
+(:func:`step_table`): the rank each state moves to, built by one
+:func:`homing.successors.place_rows` step over every state at once, with
+step counts by pointer doubling (:func:`step_counts`).  The exhaustive
+strategy checks of :mod:`homing.verify` read these tables, and
+:func:`run_strategy` is the oracle the tests compare them with.
 
 Shortest sorts are breadth-first searches over the placement digraph, with
 states packed by factorial rank (:mod:`homing.perms`); the table for all of
@@ -39,7 +46,7 @@ import numpy as np
 
 from .errors import InputError
 from .perms import Perm, identity, place, place_inplace, placeable_values, rank
-from .successors import check_cap, code_signs, code_weights, release_rounds
+from .successors import check_cap, code_signs, code_weights, place_rows, release_rounds, step_ranks
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -236,6 +243,60 @@ _CHOOSERS: dict[str, Callable[[Sequence[int]], int]] = {
 }
 
 
+# the choosers over many rows at once, for the step tables
+
+def _fold_away(rows: np.ndarray, pick: Callable, start: int) -> np.ndarray:
+    """Each row's out-of-place values, in positional order, folded into one
+    value per row with ``pick`` from ``start``."""
+    best = np.full(len(rows), start, rows.dtype)
+    for home, column in enumerate(rows.T, 1):
+        away = column != home
+        best[away] = pick(best[away], column[away])
+    return best
+
+
+def _smallest_rows(rows: np.ndarray) -> np.ndarray:
+    return _fold_away(rows, np.minimum, rows.shape[1] + 1)
+
+
+def _largest_rows(rows: np.ndarray) -> np.ndarray:
+    return _fold_away(rows, np.maximum, 0)
+
+
+def _leftmost_rows(rows: np.ndarray) -> np.ndarray:
+    return _fold_away(rows, lambda best, v: np.where(best == 0, v, best), 0)
+
+
+def _remainder_is_reverse_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`_remainder_is_reverse` of every row."""
+    m, n = rows.shape
+    last = np.full(m, n + 1, rows.dtype)  # the last out-of-place value so far
+    falling = np.ones(m, bool)
+    count = np.zeros(m, np.int8)
+    for home, column in enumerate(rows.T, 1):
+        away = column != home
+        falling &= ~away | (column < last)
+        last = np.where(away, column, last)
+        count += away
+    return falling & (count >= 2)
+
+
+def _alternating_rows(rows: np.ndarray) -> np.ndarray:
+    # both placements, then the rule of _choose_alternating row by row; a
+    # state that is not the identity has two out-of-place values at least
+    lo, hi = place_rows(rows, _smallest_rows(rows)), place_rows(rows, _largest_rows(rows))
+    take_hi = _remainder_is_reverse_rows(lo) & ~_remainder_is_reverse_rows(hi)
+    return np.where(take_hi[:, None], hi, lo)
+
+
+_ROW_STEPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    SMALLEST_FIRST: lambda rows: place_rows(rows, _smallest_rows(rows)),
+    LARGEST_FIRST: lambda rows: place_rows(rows, _largest_rows(rows)),
+    ALTERNATING_EXTREMAL: _alternating_rows,
+    LEFTMOST_NOT_HOME: lambda rows: place_rows(rows, _leftmost_rows(rows)),
+}
+
+
 def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     """Home ``p`` with the named strategy and return the full trace.
 
@@ -286,6 +347,48 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     moves = tuple(moves)
     rows = bytes(rows)
     return Trace(p, moves, tuple(state), rows)
+
+
+def step_table(n: int, strategy: str, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
+    """The step of a deterministic strategy from every state of S_n at
+    once: entry r is the rank of the state it moves the state of rank r to
+    (int32), and the identity, rank 0, maps to itself.
+
+    Each strategy is one :func:`homing.successors.place_rows` step over all
+    of S_n, and alternating-extremal two.  :func:`run_strategy`, one state
+    at a time, is the oracle the tests compare it with.  n is refused
+    beyond ``cap`` before anything is allocated.
+
+    >>> step_table(3, SMALLEST_FIRST).tolist()  # 3,1,2 and 3,2,1 place 1 into 1,3,2
+    [0, 0, 0, 0, 1, 1]
+    """
+    try:
+        step = _ROW_STEPS[strategy]
+    except KeyError:
+        raise InputError(f"the {strategy!r} strategy has no step table") from None
+    check_cap(n, cap)
+    return step_ranks(n, step)
+
+
+def step_counts(table: np.ndarray, limit: int) -> np.ndarray:
+    """Steps from every state to the identity along a :func:`step_table`,
+    where a count above ``limit`` reads ``limit + 1``, as does a state that
+    never gets home.
+
+    By pointer doubling: after j rounds ``jump`` is 2^j steps on from each
+    state and ``steps`` counts those steps that leave a state other than
+    the identity, so ``limit.bit_length()`` rounds settle every count up to
+    ``limit``.
+
+    >>> step_counts(step_table(3, SMALLEST_FIRST), 2).tolist()
+    [0, 1, 1, 1, 2, 2]
+    """
+    steps = (np.arange(len(table)) != 0).astype(np.int32)
+    jump = table
+    for _ in range(limit.bit_length()):
+        steps += steps[jump]
+        jump = jump[jump]
+    return np.minimum(steps, limit + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ Row r of :func:`perm_matrix` is the permutation of rank r (see
 :func:`displacement_ranks` ranks every eviction out of a batch of rows
 (:func:`displacement_sources` names the row each leaves), so a search over
 the placement digraph handles one whole frontier per numpy call instead of
-one state per Python loop.  :func:`code_signs` and :func:`code_weights`
+one state per Python loop.  :func:`place_rows` is the other direction, one
+placement per row, and :func:`step_ranks` ranks one such step from every
+state of S_n, which is how the strategy step tables of
+:mod:`homing.strategies` are built; :func:`stage_rows` and :func:`lis_rows`
+measure many states at once.  :func:`code_signs` and :func:`code_weights`
 are the weight kernel, the code and weight of many states at once.  Height
 and BFS tables come from :func:`release_rounds`; traces and the lemma checks
 run on this layer too, and :mod:`homing.codes` defines codes and weights.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -140,6 +144,91 @@ def displacement_sources(rows: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [np.repeat(np.flatnonzero(rows[:, v - 1] == v), n - 1) for v in range(1, n + 1)]
     )
+
+
+def place_rows(rows: np.ndarray, values) -> np.ndarray:
+    """Every row of ``rows`` with its value from ``values`` placed: moved to
+    its home column, the entries it passes shifting one column towards the
+    one it left.  ``values`` holds one value per row, or one for all rows.
+    A value already home leaves its row as it is.  This is the placement
+    dual of :func:`displacement_ranks`, row by row what
+    :func:`homing.perms.place` does to a tuple.
+
+    Built one output column at a time, with no temporary wider than a
+    column.
+
+    >>> place_rows(np.array([[4, 1, 3, 5, 2], [2, 3, 1, 5, 4]], np.int8), [1, 5]).tolist()
+    [[1, 4, 3, 5, 2], [2, 3, 1, 4, 5]]
+    """
+    m, n = rows.shape
+    values = np.asarray(values, rows.dtype)
+    home = values - 1
+    source = np.zeros(m, np.int8)  # the column each value leaves
+    for c in range(1, n):
+        source[rows[:, c] == values] = c
+    out = np.empty_like(rows)
+    for c in range(n):
+        column = rows[:, c]
+        if c + 1 < n:  # moving right past c: the entry on its right shifts left
+            column = np.where((source <= c) & (c < home), rows[:, c + 1], column)
+        if c:  # moving left past c: the entry on its left shifts right
+            column = np.where((home < c) & (c <= source), rows[:, c - 1], column)
+        out[:, c] = np.where(home == c, values, column)
+    return out
+
+
+def step_ranks(n: int, step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The rank, as int32, of the state each state of S_n moves to, indexed
+    by rank.  ``step`` maps the rows of every state but the identity to the
+    rows one placement on, as :func:`place_rows` does; the identity, rank 0,
+    maps to itself.
+
+    >>> step_ranks(3, lambda rows: place_rows(rows, rows[:, 0])).tolist()  # place the first value
+    [0, 1, 0, 5, 0, 2]
+    """
+    rows = perm_matrix(n)
+    ranks = np.zeros(len(rows), np.int32)
+    ranks[1:] = rank_rows(step(rows[1:]))
+    return ranks
+
+
+def stage_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`homing.perms.stage` of every row, as int8: its home prefix
+    plus its home suffix, and n for the identity.
+
+    >>> stage_rows(np.array([[1, 3, 2, 4], [2, 1, 3, 4], [1, 2, 3, 4]], np.int8)).tolist()
+    [2, 2, 4]
+    """
+    m, n = rows.shape
+    prefix, suffix = np.ones(m, bool), np.ones(m, bool)
+    level = np.zeros(m, np.int8)
+    for c in range(n):
+        prefix &= rows[:, c] == c + 1
+        suffix &= rows[:, n - 1 - c] == n - c
+        level += prefix
+        level += suffix
+    level[prefix] = n  # the identity counted both ends in full
+    return level
+
+
+def lis_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`homing.perms.lis_length` of every row, as int8: the longest
+    increasing subsequence ending at each column is one more than the
+    longest ending at an earlier, smaller entry.
+
+    >>> lis_rows(np.array([[4, 1, 3, 5, 2], [3, 2, 1, 4, 5]], np.int8)).tolist()
+    [3, 3]
+    """
+    m, n = rows.shape
+    longest = np.zeros(m, np.int8)
+    ending: list[np.ndarray] = []  # per column, the longest ending there
+    for c in range(n):
+        here = np.ones(m, np.int8)
+        for i, run in enumerate(ending):
+            np.maximum(here, np.where(rows[:, i] < rows[:, c], run + 1, 1), out=here)
+        ending.append(here)
+        np.maximum(longest, here, out=longest)
+    return longest
 
 
 def release_rounds(n: int, shortest: bool = False) -> Iterator[np.ndarray]:

@@ -1,34 +1,28 @@
 """Executable invariant suites.
 
-Each property here restates one of the package's mathematical guarantees
-as an exhaustive (or seeded-random) check at a configurable scale, and
-reports a counterexample when it fails, or the number of cases it asserted
-on when it passes.  The ``homing verify`` subcommand runs this catalogue,
-and the acceptance tests run the same checks at their pinned scales
-rather than restating them.  The checks deliberately use
-independent machinery where one exists (value iteration against the
-Kahn-round tables, the weight kernel against the binary readings and
-:func:`homing.codes.weight`, the per-displacement firing cascade against
-the splice, and so on).  Exhaustive passes read the library's own layers:
-the weight kernel, the Kahn height table and :func:`homing.firings.walk`.
+Each property restates one of the package's guarantees as an exhaustive (or
+seeded-random) check at a configurable scale, and reports its first
+counterexample, or the number of cases it asserted on.  ``homing verify``
+runs this catalogue, and the acceptance tests run it at pinned scales.
+Where independent machinery exists the checks use it (value iteration
+against the Kahn-round tables, the weight kernel against the binary
+readings and :func:`homing.codes.weight`, the per-displacement firing
+cascade against the splice).  Exhaustive passes read the library's own
+layers: the weight kernel, the Kahn height table, the strategy step tables
+(:func:`homing.strategies.step_table`) and :func:`homing.firings.walk`.
 
-Each check is written as a generator that yields once per case: ``None``
-when the case holds, or a description of the counterexample, which ends
-the check.  A check that asserts on a whole array at once yields the
-number of cases the array held instead (0 adds none).  :func:`_property`
-turns it into a ``Check`` that returns a :class:`PropertyResult` carrying
-the number of cases.
+Each check is a generator that yields once per case: ``None`` when the case
+holds, or a description of the counterexample, which ends the check.  A
+check on a whole array yields how many cases it held (0 adds none).
+:func:`_property` makes it a ``Check`` returning a :class:`PropertyResult`.
 
-``nmax`` caps the permutation sizes and code lengths explored; each
-property also carries its own natural ceiling, so ``nmax=7`` keeps every
-suite comfortably under a few seconds while still covering thousands to
-millions of states.  The library's default caps cover every ceiling, so
-the checks take no cap of their own.
+``nmax`` caps the sizes explored, under each property's own ceiling (n <= 9
+for the strategy checks, 10 for the maximum height): ``nmax=7`` runs the
+catalogue in about a second.  The default caps cover every ceiling.
 
 The inputs the checks share per n -- the height table of S_n, and the rows
 of S_n with their code signs and weights -- are computed once per process
-and kept read-only.  The ceilings bound what is kept: tables for n <= 10
-(14.5 MB at n = 10) and rows for n <= 9.
+and kept read-only: tables for n <= 10 (14.5 MB at n = 10), rows for n <= 9.
 """
 from __future__ import annotations
 
@@ -69,14 +63,12 @@ from .perms import (
     displace,
     displacement_successors,
     format_perm,
-    identity,
-    lis_length,
     place,
     placeable_values,
     rank,
     rotation,
-    stage,
     swap_ends,
+    unrank,
 )
 from .strategies import (
     ALTERNATING_EXTREMAL,
@@ -85,6 +77,8 @@ from .strategies import (
     SMALLEST_FIRST,
     min_placements_table,
     run_strategy,
+    step_counts,
+    step_table,
     unique_worst_case_check,
 )
 from .successors import (
@@ -92,7 +86,10 @@ from .successors import (
     code_weights,
     displacement_ranks,
     displacement_sources,
+    lis_rows,
     perm_matrix,
+    place_rows,
+    stage_rows,
 )
 
 
@@ -142,6 +139,10 @@ def _code_table(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _text(signs: np.ndarray) -> str:
     return "".join("-0+"[s + 1] for s in signs.tolist())
+
+
+def _state(n: int, r: int) -> str:
+    return format_perm(unrank(n, int(r)))
 
 
 @cache
@@ -358,38 +359,33 @@ def check_displacement_weight_increase(nmax: int) -> Cases:
 
 @_property("strategies/extremal-bound")
 def check_extremal_bound(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 8) + 1):
-        for p in all_perms(n):
-            for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
-                t = run_strategy(p, s)
-                yield None if len(t) <= max(n - 1, 0) else (
-                    f"{s} took {len(t)} steps on {format_perm(p)}"
-                )
+    for n in range(1, min(nmax, 9) + 1):
+        for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
+            bad = np.flatnonzero(step_counts(step_table(n, s), n - 1) > n - 1)
+            if len(bad):
+                yield f"{s} took more than {n - 1} steps on {_state(n, bad[0])}"
+            yield factorial(n)
 
 
 @_property("strategies/stage-monotone")
 def check_stage_monotone(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 7) + 1):
-        for p in all_perms(n):
-            for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
-                level = stage(p)
-                for q in run_strategy(p, s).states():
-                    level2 = stage(q)
-                    if level2 < level:
-                        yield f"{s} lowered stage on {format_perm(p)}"
-                    level = level2
-                yield None
+    for n in range(1, min(nmax, 9) + 1):
+        level = stage_rows(perm_matrix(n))
+        for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
+            bad = np.flatnonzero(level[step_table(n, s)] < level)  # every step of every run
+            if len(bad):
+                yield f"{s} lowered stage on {_state(n, bad[0])}"
+            yield len(level)
 
 
 @_property("strategies/lis-lower-bound")
 def check_lis_lower_bound(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 8) + 1):
-        table = min_placements_table(n)
-        for p in all_perms(n):
-            d = table[rank(p)]
-            yield None if n - lis_length(p) <= d <= max(n - 1, 0) else (
-                f"min_placements({format_perm(p)}) = {d}"
-            )
+    for n in range(1, min(nmax, 9) + 1):
+        d = np.frombuffer(min_placements_table(n), np.uint8)
+        bad = np.flatnonzero((d < n - lis_rows(perm_matrix(n))) | (d > n - 1))
+        if len(bad):
+            yield f"min_placements({_state(n, bad[0])}) = {d[bad[0]]}"
+        yield len(d)
 
 
 @_property("strategies/unique-worst-case")
@@ -402,18 +398,22 @@ def check_unique_worst_case(nmax: int) -> Cases:
 
 @_property("strategies/stage-advance-premise")
 def check_stage_advance_premise(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 7) + 1):
-        for p in all_perms(n):
-            if p == identity(n):
-                continue
-            k = stage(p)
-            raisers = sum(1 for v in placeable_values(p) if stage(place(p, v)) > k)
-            needed = 2 if (p[0] != 1 and p[-1] != n) else 1
-            if raisers < needed:
-                yield f"{format_perm(p)} has only {raisers} stage raisers"
-            if raisers * (n - k) < 2 * len(placeable_values(p)):
-                yield f"{format_perm(p)}: advance probability below 2/(n-k)"
-            yield None
+    for n in range(2, min(nmax, 9) + 1):
+        rows = perm_matrix(n)[1:]  # all but the identity, rank 0
+        level = stage_rows(rows)
+        raisers, away = np.zeros(len(rows), np.intp), np.zeros(len(rows), np.intp)
+        for v in range(1, n + 1):
+            moved = np.flatnonzero(rows[:, v - 1] != v)
+            raisers[moved] += stage_rows(place_rows(rows[moved], v)) > level[moved]
+            away[moved] += 1
+        few = raisers < np.where((rows[:, 0] != 1) & (rows[:, -1] != n), 2, 1)
+        bad = np.flatnonzero(few | (raisers * (n - level) < 2 * away))
+        if len(bad):
+            p, r = _state(n, bad[0] + 1), raisers[bad[0]]
+            yield f"{p} has only {r} stage raisers" if few[bad[0]] else (
+                f"{p}: advance probability below 2/(n-k)"
+            )
+        yield len(rows)
 
 
 # ---------------------------------------------------------------------------

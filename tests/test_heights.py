@@ -139,6 +139,16 @@ def test_height_of_refuses_a_permutation_of_another_length():
             table.height_of(p)
 
 
+def test_height_of_refuses_a_non_permutation():
+    """A tuple of the right length that is not a permutation of 1..n has
+    no height; ranking it would read some other state's entry."""
+    table = build_height_table(5)
+    for p in ((5, 5, 5, 5, 5), (9, 1, 2, 3, 4), (0, 1, 2, 3, 4), (1, 2, 3, 4, 4.0)):
+        with pytest.raises(InputError, match=r"not a permutation of 1\.\.5"):
+            table.height_of(p)
+    assert table.height_of((5, 1, 2, 3, 4)) == 15
+
+
 # -- stage-1 pinned eviction ----------------------------------------------------
 
 @pytest.mark.parametrize("n, expected", [(2, 0), (3, 1), (4, 3), (5, 7), (6, 15)])

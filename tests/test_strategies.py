@@ -1,6 +1,8 @@
-"""Strategy runs, shortest sorts, and random homing."""
+"""Strategy runs, step tables, shortest sorts, and random homing."""
 from fractions import Fraction
+from math import factorial
 
+import numpy as np
 import pytest
 
 from homing import (
@@ -33,6 +35,8 @@ from homing.strategies import (
     random_homing_mean,
     run_strategy,
     smallest_first_steps,
+    step_counts,
+    step_table,
     unique_worst_case_check,
 )
 from homing.verify import check_extremes_placed_once, check_lis_lower_bound
@@ -213,6 +217,62 @@ def test_blocks_split_anywhere(block, monkeypatch):
     assert_blocks_match_oracle(run_strategy(rotation(8), LEFTMOST_NOT_HOME))
     for trace in runs(4):
         assert_blocks_match_oracle(trace)
+
+
+# -- step tables ----------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("strategy", EXTREMAL + (LEFTMOST_NOT_HOME,))
+def test_step_table_matches_run_strategy(n, strategy):
+    """``run_strategy`` is the oracle: from every state its first move
+    lands on the table's entry, and its length is the step count."""
+    table = step_table(n, strategy)
+    steps = step_counts(table, (1 << (n - 1)) - 1)
+    assert table.dtype == np.int32
+    for r, p in enumerate(all_perms(n)):
+        trace = run_strategy(p, strategy)
+        assert steps[r] == len(trace)
+        assert table[r] == rank(place(p, trace.moves[0]) if trace.moves else p)
+
+
+def test_step_counts_read_limit_plus_one_beyond_the_limit():
+    table = np.array([0, 0, 3, 2], np.int32)  # rank 1 goes home, 2 and 3 swap forever
+    assert step_counts(table, 0).tolist() == [0, 1, 1, 1]
+    assert step_counts(table, 5).tolist() == [0, 1, 6, 6]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_observed_only_the_rotation_walks_the_hanoi_path(n):
+    """Observed for n <= 8, not proven: leftmost-not-home takes
+    2^(n-1) - 1 steps on the rotation 2,...,n,1 and on no other state."""
+    top = (1 << (n - 1)) - 1
+    steps = step_counts(step_table(n, LEFTMOST_NOT_HOME), top)
+    assert np.flatnonzero(steps == top).tolist() == [rank(rotation(n))]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("strategy", [SMALLEST_FIRST, LARGEST_FIRST])
+def test_observed_one_sided_strategies_need_n_minus_1_steps_on_n_minus_1_factorial_states(n, strategy):
+    """Observed for n <= 8, not proven: smallest-first and largest-first
+    each take all n - 1 steps on exactly (n-1)! states."""
+    steps = step_counts(step_table(n, strategy), n - 1)
+    assert np.count_nonzero(steps == n - 1) == factorial(n - 1)
+
+
+@pytest.mark.parametrize("strategy", [RANDOM, "bogus"])
+def test_step_table_needs_a_deterministic_strategy(strategy):
+    with pytest.raises(InputError, match="has no step table"):
+        step_table(4, strategy)
+
+
+def test_step_table_refuses_n_beyond_its_cap_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the step table was allocated")
+
+    for name in ("empty", "zeros"):
+        monkeypatch.setattr(np, name, no_allocation)
+    with pytest.raises(CapacityError, match="n=10 exceeds the cap 9"):
+        step_table(10, SMALLEST_FIRST)
 
 
 # -- shortest sorts ------------------------------------------------------------

@@ -11,7 +11,10 @@ from homing import (
     code_of,
     displacement_successors,
     heights,
+    lis_length,
+    place,
     rank,
+    stage,
     strategies,
     successors,
     unrank,
@@ -25,9 +28,13 @@ from homing.successors import (
     code_weights,
     displacement_ranks,
     displacement_sources,
+    lis_rows,
     perm_matrix,
+    place_rows,
     rank_rows,
     release_rounds,
+    stage_rows,
+    step_ranks,
 )
 
 TABLES = [build_height_table, min_placements_table]
@@ -70,6 +77,44 @@ def test_displacement_sources_pair_with_ranks(n):
     assert sorted((1 + 2 * s, r) for s, r in edges) == sorted(
         (rank(p), rank(q)) for p in list(all_perms(n))[1::2] for _, q in displacement_successors(p)
     )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_place_rows_matches_place(n):
+    """Every out-of-place value of every state, one value for a batch of
+    rows and one value per row, against the tuple-level ``place``."""
+    rows, perms = perm_matrix(n), list(all_perms(n))
+    for v in range(1, n + 1):
+        away = rows[:, v - 1] != v
+        placed = place_rows(rows[away], v)
+        assert placed.dtype == np.int8
+        assert placed.tolist() == [list(place(p, v)) for p, a in zip(perms, away) if a]
+    leftmost = [next(v for i, v in enumerate(p, 1) if v != i) for p in perms[1:]]
+    placed = place_rows(rows[1:], np.array(leftmost, np.int8))
+    assert placed.tolist() == [list(place(p, v)) for p, v in zip(perms[1:], leftmost)]
+
+
+def test_place_rows_leaves_a_home_value_where_it_is():
+    rows = perm_matrix(4)
+    assert np.array_equal(place_rows(rows[rows[:, 2] == 3], 3), rows[rows[:, 2] == 3])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stage_and_lis_rows_match_the_tuple_measures(n):
+    rows = perm_matrix(n)
+    assert stage_rows(rows).tolist() == [stage(p) for p in all_perms(n)]
+    assert lis_rows(rows).tolist() == [lis_length(p) for p in all_perms(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_step_ranks_rank_the_stepped_rows(n):
+    """The identity maps to itself, and every other state to the rank of
+    its row as ``step`` leaves it."""
+    def reverse(rows):  # any map of rows to rows
+        return rows[:, ::-1]
+
+    expected = [0] + [rank(p[::-1]) for p in list(all_perms(n))[1:]]
+    assert step_ranks(n, reverse).tolist() == expected
 
 
 @pytest.mark.parametrize("n", range(1, 8))

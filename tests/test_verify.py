@@ -1,4 +1,5 @@
 """The invariant suites themselves run clean at a small scale."""
+from math import factorial
 from unittest.mock import Mock
 
 import numpy as np
@@ -51,6 +52,74 @@ def test_each_table_is_built_once(monkeypatch):
     for array in (*verify._signed(5), *verify._weighed(5)):
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+# (name, passed, cases) of every property at nmax=7: a rewrite of a check
+# must neither drop nor double-count a case
+CASES_AT_NMAX_7 = [
+    ("perm-core/placement-semantics", True, 4166),
+    ("perm-core/inversion", True, 8332),
+    ("perm-core/extremes-placed-once", True, 3488),
+    ("perm-core/acyclicity", True, 7),
+    ("code-weight/range", True, 3280),
+    ("code-weight/binary-readings", True, 510),
+    ("code-weight/tiebreak-invariance", True, 3280),
+    ("code-weight/block-formula", True, 3802),
+    ("code-weight/zero-append", True, 3280),
+    ("code-weight/marking-monotonic", True, 14216),
+    ("code-weight/displacement-increase", True, 16868),
+    ("strategies/extremal-bound", True, 17739),
+    ("strategies/stage-monotone", True, 17739),
+    ("strategies/lis-lower-bound", True, 5913),
+    ("strategies/unique-worst-case", True, 6),
+    ("strategies/stage-advance-premise", True, 5906),
+    ("height-map/max-height", True, 7),
+    ("height-map/eviction-duality", True, 6),
+    ("height-map/stage1-longest", True, 6),
+    ("height-map/weight-certificate", True, 4320),
+    ("height-map/worst-case-code-shape", True, 366),
+    ("firings/step-count-and-weight", True, 626),
+    ("firings/schedule-total", True, 366),
+    ("firings/word-bijection", True, 366),
+    ("firings/confluence", True, 873),
+    ("firings/recurrence-vs-language", True, 21),
+    ("firings/short-firing-injectivity", True, 63),
+    ("firings/partition-roundtrip", True, 5295),
+]
+
+
+def test_case_counts_at_nmax_7():
+    assert [(r.name, r.passed, r.cases) for r in run_suite("all", nmax=7)] == CASES_AT_NMAX_7
+
+
+def wrong_step_table(n, strategy):
+    """Every state but the identity steps to the reversal, which then
+    steps to itself for ever."""
+    table = np.full(factorial(n), factorial(n) - 1, np.int32)
+    table[0] = 0
+    return table
+
+
+@pytest.mark.parametrize(
+    "check, kernel, wrong, detail",
+    [
+        (verify.check_extremal_bound, "step_table", wrong_step_table,
+         "smallest-first took more than 1 steps on 2,1"),
+        (verify.check_stage_monotone, "step_table", wrong_step_table,
+         "smallest-first lowered stage on 1,3,2"),
+        (verify.check_lis_lower_bound, "min_placements_table", lambda n: bytearray(factorial(n)),
+         "min_placements(2,1) = 0"),
+        (verify.check_stage_advance_premise, "place_rows", lambda rows, values: rows.copy(),
+         "2,1 has only 0 stage raisers"),
+    ],
+    ids=["extremal-bound", "stage-monotone", "lis-lower-bound", "stage-advance-premise"],
+)
+def test_a_wrong_table_fails_the_strategy_checks(monkeypatch, check, kernel, wrong, detail):
+    """Each array check, fed a wrong table or a placement that moves
+    nothing, fails and names the first state it catches."""
+    monkeypatch.setattr(verify, kernel, wrong)
+    result = check(7)
+    assert not result.passed and result.detail == detail
 
 
 def test_failure_stops_at_the_first_counterexample():
