@@ -349,7 +349,7 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     return Trace(p, moves, tuple(state), rows)
 
 
-def step_table(n: int, strategy: str, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarray:
+def step_table(n: int, strategy: str) -> np.ndarray:
     """The step of a deterministic strategy from every state of S_n at
     once: entry r is the rank of the state it moves the state of rank r to
     (int32), and the identity, rank 0, maps to itself.
@@ -357,7 +357,7 @@ def step_table(n: int, strategy: str, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarr
     Each strategy is one :func:`homing.successors.place_rows` step over all
     of S_n, and alternating-extremal two.  :func:`run_strategy`, one state
     at a time, is the oracle the tests compare it with.  n is refused
-    beyond ``cap`` before anything is allocated.
+    beyond ``DEFAULT_SEARCH_CAP`` before anything is allocated.
 
     >>> step_table(3, SMALLEST_FIRST).tolist()  # 3,1,2 and 3,2,1 place 1 into 1,3,2
     [0, 0, 0, 0, 1, 1]
@@ -366,7 +366,7 @@ def step_table(n: int, strategy: str, cap: int = DEFAULT_SEARCH_CAP) -> np.ndarr
         step = _ROW_STEPS[strategy]
     except KeyError:
         raise InputError(f"the {strategy!r} strategy has no step table") from None
-    check_cap(n, cap)
+    check_cap(n, DEFAULT_SEARCH_CAP)
     return step_ranks(n, step)
 
 

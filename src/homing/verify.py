@@ -1,28 +1,37 @@
 """Executable invariant suites.
 
-Each property restates one of the package's guarantees as an exhaustive (or
-seeded-random) check at a configurable scale, and reports its first
-counterexample, or the number of cases it asserted on.  ``homing verify``
-runs this catalogue, and the acceptance tests run it at pinned scales.
-Where independent machinery exists the checks use it (value iteration
-against the Kahn-round tables, the weight kernel against the binary
-readings and :func:`homing.codes.weight`, the per-displacement firing
-cascade against the splice).  Exhaustive passes read the library's own
-layers: the weight kernel, the Kahn height table, the strategy step tables
+Each property here restates one of the package's mathematical guarantees
+as an exhaustive (or seeded-random) check at a configurable scale, and
+reports a counterexample when it fails, or the number of cases it asserted
+on when it passes.  The ``homing verify`` subcommand runs this catalogue,
+and the acceptance tests run the same checks at their pinned scales
+rather than restating them.  The checks deliberately use
+independent machinery where one exists (value iteration against the
+Kahn-round tables, the weight kernel against the binary readings and
+:func:`homing.codes.weight`, the per-displacement firing cascade against
+the splice, and so on).  Exhaustive passes read the library's own layers:
+the weight kernel, the Kahn height table, the strategy step tables
 (:func:`homing.strategies.step_table`) and :func:`homing.firings.walk`.
 
-Each check is a generator that yields once per case: ``None`` when the case
-holds, or a description of the counterexample, which ends the check.  A
-check on a whole array yields how many cases it held (0 adds none).
-:func:`_property` makes it a ``Check`` returning a :class:`PropertyResult`.
+Each check is written as a generator that yields once per case: ``None``
+when the case holds, or a description of the counterexample, which ends
+the check.  A check that asserts on a whole array at once yields the
+number of cases the array held instead (0 adds none).  :func:`_property`
+turns it into a ``Check`` that returns a :class:`PropertyResult` carrying
+the number of cases.
 
-``nmax`` caps the sizes explored, under each property's own ceiling (n <= 9
-for the strategy checks, 10 for the maximum height): ``nmax=7`` runs the
-catalogue in about a second.  The default caps cover every ceiling.
+``nmax`` caps the permutation sizes and code lengths explored; each
+property also carries its own natural ceiling (n <= 9 for the strategy
+checks, n <= 10 for the maximum height), so ``nmax=7`` keeps every
+suite comfortably under a few seconds while still covering thousands to
+millions of states.  The library's default caps cover every ceiling, so
+the checks take no cap of their own.
 
-The inputs the checks share per n -- the height table of S_n, and the rows
-of S_n with their code signs and weights -- are computed once per process
-and kept read-only: tables for n <= 10 (14.5 MB at n = 10), rows for n <= 9.
+The inputs the checks share per n -- the height table of S_n, the rows of
+S_n with their code signs and weights, and the strategy step tables -- are
+computed once per process and kept read-only.  The ceilings bound what is
+kept: height tables for n <= 10 (14.5 MB at n = 10), and rows and step
+tables for n <= 9 (4.4 MB of step tables at n = 9).
 """
 from __future__ import annotations
 
@@ -170,6 +179,15 @@ def _weighed(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, away = code_weights(signs), (rows[:, 0] != 1) & (rows[:, -1] != n)
     w.flags.writeable = away.flags.writeable = False
     return rows, w, away
+
+
+@cache
+def _steps(n: int, strategy: str) -> np.ndarray:
+    """The :func:`step_table` of ``strategy`` on S_n, shared by the strategy
+    checks."""
+    table = step_table(n, strategy)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +379,19 @@ def check_displacement_weight_increase(nmax: int) -> Cases:
 def check_extremal_bound(nmax: int) -> Cases:
     for n in range(1, min(nmax, 9) + 1):
         for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
-            bad = np.flatnonzero(step_counts(step_table(n, s), n - 1) > n - 1)
+            bad = np.flatnonzero(step_counts(_steps(n, s), n - 1) > n - 1)
             if len(bad):
-                yield f"{s} took more than {n - 1} steps on {_state(n, bad[0])}"
+                p, k = _state(n, bad[0]), step_counts(_steps(n, s), factorial(n))[bad[0]]
+                yield f"{s} took {k} steps on {p}" if k <= factorial(n) else f"{s} never sorts {p}"
             yield factorial(n)
 
 
 @_property("strategies/stage-monotone")
 def check_stage_monotone(nmax: int) -> Cases:
     for n in range(1, min(nmax, 9) + 1):
-        level = stage_rows(perm_matrix(n))
+        level = stage_rows(_signed(n)[0])
         for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
-            bad = np.flatnonzero(level[step_table(n, s)] < level)  # every step of every run
+            bad = np.flatnonzero(level[_steps(n, s)] < level)  # every step of every run
             if len(bad):
                 yield f"{s} lowered stage on {_state(n, bad[0])}"
             yield len(level)
@@ -382,7 +401,7 @@ def check_stage_monotone(nmax: int) -> Cases:
 def check_lis_lower_bound(nmax: int) -> Cases:
     for n in range(1, min(nmax, 9) + 1):
         d = np.frombuffer(min_placements_table(n), np.uint8)
-        bad = np.flatnonzero((d < n - lis_rows(perm_matrix(n))) | (d > n - 1))
+        bad = np.flatnonzero((d < n - lis_rows(_signed(n)[0])) | (d > n - 1))
         if len(bad):
             yield f"min_placements({_state(n, bad[0])}) = {d[bad[0]]}"
         yield len(d)
@@ -399,7 +418,7 @@ def check_unique_worst_case(nmax: int) -> Cases:
 @_property("strategies/stage-advance-premise")
 def check_stage_advance_premise(nmax: int) -> Cases:
     for n in range(2, min(nmax, 9) + 1):
-        rows = perm_matrix(n)[1:]  # all but the identity, rank 0
+        rows = _signed(n)[0][1:]  # all but the identity, rank 0
         level = stage_rows(rows)
         raisers, away = np.zeros(len(rows), np.intp), np.zeros(len(rows), np.intp)
         for v in range(1, n + 1):

@@ -41,15 +41,18 @@ def test_all_runs_everything():
 def test_each_table_is_built_once(monkeypatch):
     """The checks share one table per n; only ``stage1_longest``, the
     library function its check tests, builds its own."""
-    for cached in (verify._table, verify._signed, verify._weighed):
+    for cached in (verify._table, verify._signed, verify._weighed, verify._steps):
         cached.cache_clear()
     build = Mock(wraps=heights.build_height_table)
     for module in (heights, verify):
         monkeypatch.setattr(module, "build_height_table", build)
+    step = Mock(wraps=verify.step_table)
+    monkeypatch.setattr(verify, "step_table", step)
     assert all(r.passed for r in run_suite("all", nmax=7))
     built = sorted(call.args[0] for call in build.call_args_list)
     assert built == sorted([*range(1, 8), *range(2, 8)])  # 13, not 56
-    for array in (*verify._signed(5), *verify._weighed(5)):
+    assert step.call_count == 3 * 7  # three strategies per n, not once per check
+    for array in (*verify._signed(5), *verify._weighed(5), verify._steps(5, "smallest-first")):
         with pytest.raises(ValueError):
             array[0] = 0
 
@@ -100,19 +103,28 @@ def wrong_step_table(n, strategy):
     return table
 
 
+def slow_step_table(n, strategy):
+    """Each state steps to the state one rank below it, so the state of
+    rank r takes r steps home."""
+    return np.maximum(np.arange(factorial(n), dtype=np.int32) - 1, 0)
+
+
 @pytest.mark.parametrize(
     "check, kernel, wrong, detail",
     [
-        (verify.check_extremal_bound, "step_table", wrong_step_table,
-         "smallest-first took more than 1 steps on 2,1"),
-        (verify.check_stage_monotone, "step_table", wrong_step_table,
+        (verify.check_extremal_bound, "_steps", wrong_step_table,
+         "smallest-first never sorts 2,1"),
+        (verify.check_extremal_bound, "_steps", slow_step_table,
+         "smallest-first took 3 steps on 2,3,1"),
+        (verify.check_stage_monotone, "_steps", wrong_step_table,
          "smallest-first lowered stage on 1,3,2"),
         (verify.check_lis_lower_bound, "min_placements_table", lambda n: bytearray(factorial(n)),
          "min_placements(2,1) = 0"),
         (verify.check_stage_advance_premise, "place_rows", lambda rows, values: rows.copy(),
          "2,1 has only 0 stage raisers"),
     ],
-    ids=["extremal-bound", "stage-monotone", "lis-lower-bound", "stage-advance-premise"],
+    ids=["extremal-bound", "extremal-bound-count", "stage-monotone", "lis-lower-bound",
+         "stage-advance-premise"],
 )
 def test_a_wrong_table_fails_the_strategy_checks(monkeypatch, check, kernel, wrong, detail):
     """Each array check, fed a wrong table or a placement that moves
