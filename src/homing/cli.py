@@ -18,7 +18,9 @@ Exit status: 0 on success, 1 when ``verify`` finds a failure, 2 on bad
 input only: argparse's usage errors (including a ``--format`` the
 subcommand does not accept, see :data:`FORMATS`), :class:`InputError`
 (malformed permutation/word/partition text, an argument out of range, a
-seed given to a strategy that draws nothing) and :class:`CapacityError`;
+seed given to a strategy that draws nothing, an ``--out`` path whose
+directory does not exist, refused before any work) and
+:class:`CapacityError`;
 141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Any other exception is a bug and propagates.  Output is byte-deterministic
 given identical flags and seed.  ``--out FILE`` writes atomically through
@@ -329,6 +331,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise InputError(f"cannot write --out {args.out}: its directory does not exist")
         return args.handler(args)
     except (InputError, CapacityError) as err:
         print(f"homing {args.command}: {err}", file=sys.stderr)

@@ -21,14 +21,13 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
-from .perms import Perm, identity, is_permutation, placement_successors, rank, unrank
+from .perms import Perm, is_permutation, placement_successors, rank, unrank
 from .successors import check_cap, release_rounds
 
 DEFAULT_CAP = 10
 
 _MAGIC = b"HOMH"
 _VERSION = 1
-_UNKNOWN = -1
 
 
 @dataclass(frozen=True)
@@ -73,38 +72,29 @@ def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:
 
 
 def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
-    """Height of a single permutation, exploring only its reachable states."""
-    n = len(p)
-    check_cap(n, cap)
-    target = identity(n)
-    memo: dict[Perm, object] = {target: 0}
-    if p in memo:
-        return 0
-    in_progress = object()
-    stack: list[list] = [[p, None, 0]]
+    """Height of a single permutation, exploring only its reachable states.
+
+    A depth-first search: a pending entry ``(state, None)`` enters its state
+    and pushes its successors, and the entry ``(state, successors)`` left
+    beneath them finishes it.  ``path`` holds the entered but unfinished
+    states, so reaching one of them again is a cycle."""
+    check_cap(len(p), cap)
+    memo: dict[Perm, int] = {}
+    path: set[Perm] = set()
+    stack: list[tuple[Perm, set[Perm] | None]] = [(p, None)]
     while stack:
-        frame = stack[-1]
-        state, succs, idx = frame
-        if succs is None:
-            memo[state] = in_progress
-            succs = frame[1] = sorted(placement_successors(state))
-        pushed = False
-        while idx < len(succs):
-            q = succs[idx]
-            h = memo.get(q, _UNKNOWN)
-            if h is in_progress:
-                raise CycleError(f"placement digraph cycle through {q}")
-            if h == _UNKNOWN:
-                stack.append([q, None, 0])
-                pushed = True
-                break
-            idx += 1
-        frame[2] = idx
-        if pushed:
-            continue
-        memo[state] = (1 + max(memo[q] for q in succs)) if succs else 0
-        stack.pop()
-    return memo[p]  # type: ignore[return-value]
+        state, succs = stack.pop()
+        if succs is not None:
+            path.remove(state)
+            memo[state] = 1 + max(memo[q] for q in succs) if succs else 0
+        elif state in path:
+            raise CycleError(f"placement digraph cycle through {state}")
+        elif state not in memo:
+            path.add(state)
+            succs = placement_successors(state)
+            stack.append((state, succs))
+            stack.extend((q, None) for q in succs if q not in memo)
+    return memo[p]
 
 
 def worst_case_permutations(n: int, cap: int = DEFAULT_CAP) -> list[Perm]:
@@ -113,7 +103,7 @@ def worst_case_permutations(n: int, cap: int = DEFAULT_CAP) -> list[Perm]:
     return table.members_at((1 << (n - 1)) - 1)
 
 
-def stage1_longest(n: int, cap: int = DEFAULT_CAP) -> int:
+def stage1_longest(n: int) -> int:
     """Longest eviction run from the identity that leaves value 1 untouched.
 
     Untouched means 1 is never evicted and never shifted: moves neither
@@ -124,7 +114,7 @@ def stage1_longest(n: int, cap: int = DEFAULT_CAP) -> int:
     Read off the height table: ranks below (n-1)! are the states with 1 in
     front, which no placement leaves, so their heights are these runs.
     """
-    return int(build_height_table(n, cap).heights[: factorial(n - 1)].max())
+    return int(build_height_table(n).heights[: factorial(n - 1)].max())
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from math import factorial
 from typing import Iterator, MutableSequence, NamedTuple, Sequence
 
 from .errors import InputError, InvalidMoveError, ParseError
@@ -298,6 +299,8 @@ def unrank(n: int, r: int) -> Perm:
     >>> unrank(3, 5)
     (3, 2, 1)
     """
+    if not 0 <= r < factorial(n):
+        raise InputError(f"rank {r} is outside 0..{factorial(n) - 1}, the ranks of S_{n}")
     digits = []
     for radix in range(1, n + 1):
         digits.append(r % radix)

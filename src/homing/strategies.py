@@ -13,9 +13,9 @@ step counts by pointer doubling (:func:`step_counts`).  The exhaustive
 strategy checks of :mod:`homing.verify` read these tables, and
 :func:`run_strategy` is the oracle the tests compare them with.
 
-Shortest sorts are breadth-first searches over the placement digraph, with
-states packed by factorial rank (:mod:`homing.perms`); the table for all of
-S_n takes the rounds of :func:`homing.successors.release_rounds`.
+Shortest sorts are breadth-first searches over the placement digraph: the
+search from one state keeps the set of states it has reached, and the table
+for all of S_n takes the rounds of :func:`homing.successors.release_rounds`.
 
 A run places each state once, with :func:`homing.perms.place_inplace` on
 one packed row, and appends the row to a packed buffer that the trace
@@ -45,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .perms import Perm, identity, place, place_inplace, placeable_values, rank
+from .perms import Perm, identity, place, place_inplace, placeable_values
 from .successors import check_cap, code_signs, code_weights, place_rows, release_rounds, step_ranks
 
 SMALLEST_FIRST = "smallest-first"
@@ -66,7 +66,6 @@ DEFAULT_SEARCH_CAP = 9
 
 _BLOCK = 1 << 13  # trace steps per block of codes, weights and text
 _CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
-_IDENTITY_ROW = bytes(range(1, 256))  # its first n bytes: the sorted packed row, n < 256
 
 
 class TraceStep(NamedTuple):
@@ -325,11 +324,8 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     limit = (1 << (n - 1)) - 1
-    kind = _row_type(n)
-    if kind == "B":
-        state, target = bytearray(p), _IDENTITY_ROW[:n]
-    else:
-        state, target = array(kind, p), array(kind, identity(n))
+    state = array(_row_type(n), p)
+    target = array(state.typecode, range(1, n + 1))
     rows = state[:]
     moves = []
     for _ in range(limit + 1):
@@ -396,7 +392,8 @@ def step_counts(table: np.ndarray, limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
-    """Fewest placements that sort ``p``, by BFS over the placement digraph.
+    """Fewest placements that sort ``p``, by BFS over the placement digraph,
+    keeping the states it has reached.
 
     Always lies between n - lis_length(p) and n - 1.
     """
@@ -405,11 +402,10 @@ def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
     target = identity(n)
     if p == target:
         return 0
-    visited = bytearray(factorial(n))
-    visited[rank(p)] = 1
+    seen = {p}
     frontier = [p]
     depth = 0
-    while frontier:
+    while True:  # every state but the identity has a placement, and there is no cycle
         depth += 1
         nxt = []
         for state in frontier:
@@ -417,12 +413,10 @@ def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
                 q = place(state, v)
                 if q == target:
                     return depth
-                r = rank(q)
-                if not visited[r]:
-                    visited[r] = 1
+                if q not in seen:
+                    seen.add(q)
                     nxt.append(q)
         frontier = nxt
-    raise AssertionError("identity unreachable; placement digraph broken")
 
 
 def min_placements_table(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bytearray:
@@ -436,9 +430,9 @@ def min_placements_table(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bytearray:
     return bytearray(dist)
 
 
-def unique_worst_case_check(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bool:
+def unique_worst_case_check(n: int) -> bool:
     """True iff the reversal is the only permutation needing n-1 placements."""
-    dist = min_placements_table(n, cap)
+    dist = min_placements_table(n)
     return dist.count(n - 1) == 1 and dist[-1] == n - 1  # the reversal ranks last
 
 

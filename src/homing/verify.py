@@ -6,8 +6,8 @@ reports a counterexample when it fails, or the number of cases it asserted
 on when it passes.  The ``homing verify`` subcommand runs this catalogue,
 and the acceptance tests run the same checks at their pinned scales
 rather than restating them.  The checks deliberately use
-independent machinery where one exists (value iteration against the
-Kahn-round tables, the weight kernel against the binary readings and
+independent machinery where one exists (a longest-path worklist against
+the Kahn-round tables, the weight kernel against the binary readings and
 :func:`homing.codes.weight`, the per-displacement firing cascade against
 the splice, and so on).  Exhaustive passes read the library's own layers:
 the weight kernel, the Kahn height table, the strategy step tables
@@ -72,9 +72,9 @@ from .perms import (
     displace,
     displacement_successors,
     format_perm,
+    identity,
     place,
     placeable_values,
-    rank,
     rotation,
     swap_ends,
     unrank,
@@ -440,23 +440,20 @@ def check_stage_advance_premise(nmax: int) -> Cases:
 # ---------------------------------------------------------------------------
 
 def forward_eviction_heights(n: int) -> list[int]:
-    """Longest displacement path from the identity to each state, by rank:
-    value iteration (Bellman-Ford style), independent of the Kahn rounds."""
-    dist = [-1] * factorial(n)
-    dist[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for p in all_perms(n):
-            d = dist[rank(p)]
-            if d < 0:
-                continue
-            for _, q in displacement_successors(p):
-                r = rank(q)
-                if dist[r] < d + 1:
-                    dist[r] = d + 1
-                    changed = True
-    return dist
+    """Longest displacement path from the identity to each state, in
+    ``all_perms`` order (-1 where it never arrives): label-correcting
+    relaxation from a worklist of the states whose distance rose,
+    independent of the Kahn rounds."""
+    dist = {identity(n): 0}
+    work = list(dist)
+    while work:
+        p = work.pop()
+        d = dist[p] + 1
+        for _, q in displacement_successors(p):
+            if dist.get(q, -1) < d:
+                dist[q] = d
+                work.append(q)
+    return [dist.get(p, -1) for p in all_perms(n)]
 
 
 @_property("height-map/eviction-duality")

@@ -295,6 +295,17 @@ def test_out_writes_atomically(tmp_path, capsys):
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".homing-")]
 
 
+def test_out_into_a_missing_directory_exits_2_before_the_handler(tmp_path, monkeypatch, capsys):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "height", not_reached)
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run_cli(capsys, "height", "--perm", "2,1,3", "--out", target)
+    assert code == 2 and out == "" and target in err
+    assert ".homing-" not in err and list(tmp_path.iterdir()) == []
+
+
 def test_words_stream_one_at_a_time(tmp_path, monkeypatch, capsys):
     def cut(n):
         words = canonical_words(n)

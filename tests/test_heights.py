@@ -82,6 +82,19 @@ def test_unreleased_states_raise_cycle_error(monkeypatch):
         build_height_table(5)
 
 
+def test_height_raises_cycle_error_on_a_back_edge(monkeypatch):
+    real = heights.placement_successors
+
+    def with_back_edge(state):
+        # placing 2 into the rotation 2,3,4,1 gives 3,2,4,1, which now also
+        # leads back to the rotation
+        return real(state) | {rotation(4)} if state == (3, 2, 4, 1) else real(state)
+
+    monkeypatch.setattr(heights, "placement_successors", with_back_edge)
+    with pytest.raises(CycleError, match="cycle through"):
+        height(rotation(4))
+
+
 def test_height_examples():
     assert height(identity(7)) == 0
     for n in range(2, 8):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homing import (
+    InputError,
     InvalidMoveError,
     ParseError,
     all_perms,
@@ -199,6 +200,12 @@ def test_rank_is_lexicographic(n):
     for i, p in enumerate(all_perms(n)):
         assert rank(p) == i
         assert unrank(n, i) == p
+
+
+@pytest.mark.parametrize("r", [-1, 6, 11])
+def test_unrank_refuses_a_rank_outside_s_n(r):
+    with pytest.raises(InputError, match=f"rank {r} is outside 0..5"):
+        unrank(3, r)
 
 
 def test_rank_identity_is_zero():

@@ -1,4 +1,5 @@
 """Strategy runs, step tables, shortest sorts, and random homing."""
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -319,6 +320,16 @@ def test_min_placements_bounds(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_unique_worst_case(n):
     assert unique_worst_case_check(n)
+
+
+def test_a_one_placement_search_allocates_nothing_sized_by_n_factorial():
+    tracemalloc.start()
+    try:
+        assert min_placements((2, 1) + tuple(range(3, 12)), cap=11) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 11! bytes would be 38 MB
 
 
 def test_capacity_errors():

@@ -15,6 +15,7 @@ from homing.verify import (
     check_displacement_weight_increase,
     check_weight_certificate,
     eviction_runs,
+    forward_eviction_heights,
     run_suite,
     suite_names,
 )
@@ -234,6 +235,26 @@ def test_weight_certificate_matches_the_recursion():
         assert all(r <= (1 << (n - 2)) - 1 - weight(code_of(p)) for p, r in oracle.items())
         total += len(oracle)
     assert check_weight_certificate(6) == PropertyResult("height-map/weight-certificate", True, "", total)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_forward_eviction_heights_match_the_table(n):
+    assert forward_eviction_heights(n) == list(heights.build_height_table(n).heights)
+
+
+def test_a_dropped_eviction_fails_the_eviction_duality(monkeypatch):
+    real = verify.displacement_successors
+
+    def drop_one(p):
+        # 2 to position 1, the eviction that ends the longest path into the
+        # rotation 2,...,6,1
+        moves = real(p)
+        return [(m, q) for m, q in moves if q != (2, 3, 4, 5, 6, 1)] if p == (3, 2, 4, 5, 6, 1) else moves
+
+    monkeypatch.setattr(verify, "displacement_successors", drop_one)
+    result = verify.check_eviction_duality(6)
+    assert not result.passed
+    assert result.detail == "n=6: forward eviction distances disagree"
 
 
 def test_unknown_suite():
