@@ -19,7 +19,8 @@ input only: argparse's usage errors (including a ``--format`` the
 subcommand does not accept, see :data:`FORMATS`), :class:`InputError`
 (malformed permutation/word/partition text, an argument out of range, a
 seed given to a strategy that draws nothing, an ``--out`` path whose
-directory does not exist, refused before any work) and
+directory does not exist or that names a directory, refused before any
+work) and
 :class:`CapacityError`;
 141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Any other exception is a bug and propagates.  Output is byte-deterministic
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax",
         type=_verify_nmax,
         default=7,
-        help="scale cap, at least 3 (default 7); 10 or more builds all of S_10 (about 3.5 s, 94 MB peak)",
+        help="scale cap, at least 3 (default 7); 10 or more builds all of S_10 (about 9 s, 135 MB peak)",
     )
 
     return parser
@@ -331,8 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-            raise InputError(f"cannot write --out {args.out}: its directory does not exist")
+        if args.out is not None:
+            if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+                raise InputError(f"cannot write --out {args.out}: its directory does not exist")
+            if os.path.isdir(args.out) or args.out.endswith(os.sep):
+                raise InputError(f"cannot write --out {args.out}: it names a directory")
         return args.handler(args)
     except (InputError, CapacityError) as err:
         print(f"homing {args.command}: {err}", file=sys.stderr)

@@ -69,25 +69,15 @@ def _check_tie(tie: str) -> None:
         raise InputError(f"tie must be '+' or '-', got {tie!r}")
 
 
-def _pick(syms: list[str], tie: str) -> tuple[int, int] | None:
+def _pick(code: str, tie: str) -> tuple[int, int] | None:
     """Index and reach of the next symbol to strip, or None if all zeros."""
-    k = len(syms)
-    rm = -1  # rightmost '-', reach = its index
-    for i in range(k - 1, -1, -1):
-        if syms[i] == "-":
-            rm = i
-            break
-    lp = -1  # leftmost '+', reach = k - 1 - index
-    for i in range(k):
-        if syms[i] == "+":
-            lp = i
-            break
-    if rm < 0 and lp < 0:
-        return None
-    d_minus = rm
-    d_plus = (k - 1 - lp) if lp >= 0 else -1
-    if d_minus > d_plus or (d_minus == d_plus and tie == "-"):
-        return rm, d_minus
+    rm = code.rfind("-")  # rightmost '-', reach = its index
+    lp = code.find("+")  # leftmost '+', reach = len(code) - 1 - its index
+    if lp < 0:
+        return None if rm < 0 else (rm, rm)
+    d_plus = len(code) - 1 - lp
+    if rm > d_plus or (rm == d_plus and tie == "-"):
+        return rm, rm
     return lp, d_plus
 
 
@@ -99,15 +89,14 @@ def strip_trace(code: str, tie: str = "-") -> list[StripStep]:
     """
     parse_code(code)
     _check_tie(tie)
-    syms = list(code)
     steps = []
     while True:
-        choice = _pick(syms, tie)
+        choice = _pick(code, tie)
         if choice is None:
             return steps
         idx, d = choice
         steps.append(StripStep(idx + 1, d))
-        del syms[idx]
+        code = code[:idx] + code[idx + 1:]
 
 
 def weight(code: str, tie: str = "-") -> int:
@@ -118,12 +107,11 @@ def weight(code: str, tie: str = "-") -> int:
     """
     parse_code(code)
     _check_tie(tie)
-    syms = list(code)
     total = 0
     while True:
-        choice = _pick(syms, tie)
+        choice = _pick(code, tie)
         if choice is None:
             return total
         idx, d = choice
         total += 1 << d
-        del syms[idx]
+        code = code[:idx] + code[idx + 1:]

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .codes import code_of
@@ -363,49 +362,68 @@ def word_to_partition(word: FiringWord) -> SetPartition:
     bijection onto all partitions.
     """
     blocks: list[list[int]] = [[1]]
-    for pos, letter in enumerate(word, 1):
-        element = pos + 1
-        if letter.side == RIGHT:
-            if letter.index != 0:
-                raise WordError(
-                    f"letter {pos} ({format_letter(letter)}): partitions encode "
-                    f"short right firings only"
-                )
+    for element, (side, index) in enumerate(word, 2):
+        if side == LEFT and 0 <= index < len(blocks):
+            blocks[index].append(element)
+        elif side == RIGHT and index == 0:
             blocks.append([element])
-        elif letter.side == LEFT:
-            if letter.index >= len(blocks):
-                raise WordError(
-                    f"letter {pos} ({format_letter(letter)}) names block "
-                    f"{letter.index + 1} of {len(blocks)}"
-                )
-            blocks[letter.index].append(element)
         else:
-            raise WordError(f"letter {pos} has invalid side {letter.side!r}")
-    return tuple(tuple(b) for b in blocks)
+            raise _unrestricted(element - 1, side, index, len(blocks))
+    return tuple(map(tuple, blocks))
+
+
+def _unrestricted(pos: int, side: str, index: int, blocks: int) -> WordError:
+    """Why letter ``pos`` of a word has no place in a partition that has
+    ``blocks`` blocks so far."""
+    if side == RIGHT:
+        return WordError(f"letter {pos} ({side}{index}): partitions encode short right firings only")
+    if side == LEFT:
+        return WordError(f"letter {pos} ({side}{index}) names block {index + 1} of {blocks}")
+    return WordError(f"letter {pos} has invalid side {side!r}")
 
 
 def partition_to_word(partition: SetPartition) -> FiringWord:
     """Inverse of :func:`word_to_partition`."""
-    blocks = _validated_partition(partition)
-    # element e >= 2 is letter e-1, at word[e - 2]: R_0 when e opens a block
-    # (the first block opens with 1, which has no letter), else L_b for its block b
-    word: list[FiringLetter] = [R(0)] * (sum(map(len, blocks)) - 1)
-    for b_idx, block in enumerate(blocks):
-        letter = L(b_idx)
-        for element in block[1:]:
-            word[element - 2] = letter
+    owner = _validated_partition(partition)
+    # element e >= 2 is letter e-1: R_0 when e opens a block (the first block
+    # opens with 1, which has no letter), else L_b for its block b, blocks
+    # numbered in the order their smallest elements come
+    number = {owner[1]: 0}
+    word = []
+    for block in owner[2:]:
+        b = number.get(block)
+        if b is None:
+            number[block] = len(number)
+            word.append(R(0))
+        else:
+            word.append(L(b))
     return tuple(word)
 
 
-def _validated_partition(partition: SetPartition) -> list[tuple[int, ...]]:
-    blocks = [tuple(sorted(b)) for b in partition]
-    if not blocks or not all(blocks):  # every word's partition holds 1, so () has no word
+def _validated_partition(partition: SetPartition) -> list[int]:
+    """The block of each element: entry e is the index in ``partition`` of
+    the block that holds e, for e = 1..m, where m counts the elements (entry
+    0 is unused).  One pass over the elements checks that each of 1..m is
+    owned by exactly one block."""
+    if not partition or not all(partition):  # every word's partition holds 1, so () has no word
         raise WordError("partition blocks must be nonempty, and there must be at least one")
-    blocks.sort()  # by smallest element, since the blocks must be disjoint
-    elements = sorted(chain.from_iterable(blocks))
-    if elements != list(range(1, len(elements) + 1)):
-        raise WordError(f"blocks do not partition 1..m: {partition!r}")
-    return blocks
+    m = sum(map(len, partition))
+    owner = [-1] * (m + 1)
+    for b, block in enumerate(partition):
+        for e in block:
+            if not 0 < e <= m or owner[e] >= 0:
+                raise WordError(f"blocks do not partition 1..m: {partition!r}")
+            owner[e] = b
+    # m elements, none repeated and none outside 1..m: each of 1..m is owned once
+    return owner
+
+
+def _canonical_blocks(partition: SetPartition) -> SetPartition:
+    """The blocks, each sorted, in the order of their smallest elements."""
+    blocks: dict[int, list[int]] = {}
+    for e, b in enumerate(_validated_partition(partition)[1:], 1):
+        blocks.setdefault(b, []).append(e)
+    return tuple(map(tuple, blocks.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +463,7 @@ def parse_word(text: str) -> FiringWord:
 
 def format_partition(partition: SetPartition) -> str:
     """Blocks in canonical order, e.g. ``{1,3}{2,4}``."""
-    blocks = _validated_partition(partition)
-    return "".join("{" + ",".join(map(str, b)) + "}" for b in blocks)
+    return "".join("{" + ",".join(map(str, b)) + "}" for b in _canonical_blocks(partition))
 
 
 def parse_partition(text: str) -> SetPartition:
@@ -466,6 +483,6 @@ def parse_partition(text: str) -> SetPartition:
         except ValueError:
             raise ParseError(f"invalid partition block {{{body}}}") from None
     try:
-        return tuple(_validated_partition(tuple(blocks)))
+        return _canonical_blocks(tuple(blocks))
     except WordError as err:
         raise ParseError(str(err)) from None

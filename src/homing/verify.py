@@ -28,9 +28,11 @@ millions of states.  The library's default caps cover every ceiling, so
 the checks take no cap of their own.
 
 The inputs the checks share per n -- the height table of S_n, the rows of
-S_n with their code signs and weights, and the strategy step tables -- are
-computed once per process and kept read-only.  The ceilings bound what is
-kept: height tables for n <= 10 (14.5 MB at n = 10), and rows and step
+S_n with their code signs and weights, and the step tables of the four
+deterministic strategies (the three extremal ones for the strategy checks
+to n <= 9, and leftmost-not-home too for the extremes check to n <= 6) --
+are computed once per process and kept read-only.  The ceilings bound what
+is kept: height tables for n <= 10 (14.5 MB at n = 10), and rows and step
 tables for n <= 9 (4.4 MB of step tables at n = 9).
 """
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .firings import (
     walk,
     word_to_partition,
 )
-from .heights import HeightTable, build_height_table, stage1_longest
+from .heights import HeightTable, build_height_table
 from .perms import (
     all_perms,
     displace,
@@ -85,7 +87,6 @@ from .strategies import (
     LEFTMOST_NOT_HOME,
     SMALLEST_FIRST,
     min_placements_table,
-    run_strategy,
     step_counts,
     step_table,
     unique_worst_case_check,
@@ -184,7 +185,7 @@ def _weighed(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @cache
 def _steps(n: int, strategy: str) -> np.ndarray:
     """The :func:`step_table` of ``strategy`` on S_n, shared by the strategy
-    checks."""
+    checks and the extremes check."""
     table = step_table(n, strategy)
     table.flags.writeable = False
     return table
@@ -222,16 +223,25 @@ def check_inversion(nmax: int) -> Cases:
                 )
 
 
+def extremes_evicted(n: int, strategy: str) -> np.ndarray:
+    """The mask, by rank, of the states of S_n from which ``strategy``'s
+    step moves 1 or n from home to away, read with one gather on its step
+    table.  A run places an extreme twice only if one of its steps does
+    that, and every run is a path in the step table."""
+    rows = _signed(n)[0]
+    after = rows[_steps(n, strategy)]
+    return ((rows[:, 0] == 1) & (after[:, 0] != 1)) | ((rows[:, -1] == n) & (after[:, -1] != n))
+
+
 @_property("perm-core/extremes-placed-once")
 def check_extremes_placed_once(nmax: int) -> Cases:
     strategies = (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL, LEFTMOST_NOT_HOME)
     for n in range(2, min(nmax, 6) + 1):
-        for p in all_perms(n):
-            for s in strategies:
-                moves = run_strategy(p, s).moves
-                if moves.count(1) > 1 or moves.count(n) > 1:
-                    yield f"{s} on {format_perm(p)} placed an extreme twice"
-                yield None
+        for s in strategies:
+            bad = np.flatnonzero(extremes_evicted(n, s))
+            if len(bad):
+                yield f"{s} on {_state(n, bad[0])} moves an extreme from home"
+            yield factorial(n)
 
 
 @_property("perm-core/acyclicity")
@@ -315,10 +325,11 @@ def _block_splits():
 
 @_property("code-weight/block-formula")
 def check_block_formula(nmax: int) -> Cases:
+    weight_of = lru_cache(maxsize=None)(weight)  # each rest beta gamma delta recurs for 9 pairs (p, q)
     for beta, p, gamma, q, delta in _block_splits():
         alpha = beta + "+" * p + gamma + "-" * q + delta
         expected = (
-            weight(beta + gamma + delta)
+            weight_of(beta + gamma + delta)
             + (1 << (p + len(gamma) + q + len(beta)))
             - (1 << (len(gamma) + len(beta)))
         )
@@ -484,7 +495,8 @@ def check_max_heights(nmax: int) -> Cases:
 @_property("height-map/stage1-longest")
 def check_stage1_longest(nmax: int) -> Cases:
     for n in range(2, min(nmax, 9) + 1):
-        got = stage1_longest(n)
+        # ranks below (n-1)! are the states with 1 in front, which no placement leaves
+        got = int(_table(n).heights[: factorial(n - 1)].max())
         yield None if got == (1 << (n - 2)) - 1 else f"stage1_longest({n}) = {got}"
 
 

@@ -306,6 +306,23 @@ def test_out_into_a_missing_directory_exits_2_before_the_handler(tmp_path, monke
     assert ".homing-" not in err and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_out_naming_a_directory_exits_2_before_the_handler(tmp_path, monkeypatch, capsys, exists):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "height", not_reached)
+    if exists:
+        (tmp_path / "dir").mkdir()
+        target = str(tmp_path / "dir")
+    else:
+        target = str(tmp_path / "dir") + os.sep  # a trailing separator names no file
+    code, out, err = run_cli(capsys, "height", "--perm", "2,1,3", "--out", target)
+    assert code == 2 and out == "" and f"--out {target}: it names a directory" in err
+    assert ".homing-" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if exists else [])
+
+
 def test_words_stream_one_at_a_time(tmp_path, monkeypatch, capsys):
     def cut(n):
         words = canonical_words(n)

@@ -339,6 +339,8 @@ def test_word_to_partition_validation():
         word_to_partition((R(1),))  # not a restricted word
     with pytest.raises(WordError):
         word_to_partition((L(1),))  # block 2 does not exist yet
+    with pytest.raises(WordError, match=r"names block 0 of 1"):
+        word_to_partition((L(-1),))  # no block 0: it must not wrap to the last block
     with pytest.raises(WordError, match=r"blocks do not partition 1..m: \(\(1, 2\), \(2, 3\)\)"):
         partition_to_word(((1, 2), (2, 3)))
     with pytest.raises(WordError, match="blocks do not partition 1..m"):

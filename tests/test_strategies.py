@@ -20,7 +20,7 @@ from homing import (
     stage,
     weight,
 )
-from homing import strategies
+from homing import strategies, verify
 from homing.strategies import (
     ALTERNATING_EXTREMAL,
     LARGEST_FIRST,
@@ -40,7 +40,7 @@ from homing.strategies import (
     step_table,
     unique_worst_case_check,
 )
-from homing.verify import check_extremes_placed_once, check_lis_lower_bound
+from homing.verify import check_extremes_placed_once, check_lis_lower_bound, extremes_evicted
 
 EXTREMAL = (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL)
 
@@ -92,6 +92,39 @@ def test_extremal_strategies_bounded_and_stage_monotone(n, strategy):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_extremes_placed_at_most_once(n):
     assert check_extremes_placed_once(n).passed
+
+
+def placed_an_extreme_twice(p, strategy):
+    """The oracle: the run from ``p`` places 1 more than once or n more than
+    once."""
+    moves = run_strategy(p, strategy).moves
+    return moves.count(1) > 1 or moves.count(len(p)) > 1
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("strategy", EXTREMAL + (LEFTMOST_NOT_HOME,))
+def test_extremes_verdict_matches_per_run_oracle(n, strategy):
+    """The step-table verdict on the run from each state -- some step on its
+    path through the table moves an extreme from home -- is the oracle's."""
+    table, evicted = step_table(n, strategy), extremes_evicted(n, strategy)
+    for p in all_perms(n):
+        r, flagged = rank(p), False
+        while r:
+            flagged |= bool(evicted[r])
+            r = table[r]
+        assert flagged == placed_an_extreme_twice(p, strategy)
+
+
+def test_extremes_check_names_a_step_that_moves_a_home_1_away(monkeypatch):
+    table = step_table(4, LARGEST_FIRST)
+    table[rank((1, 3, 2, 4))] = rank((3, 1, 2, 4))  # 1 leaves home
+    shared = verify._steps
+    monkeypatch.setattr(
+        verify, "_steps", lambda n, s: table if (n, s) == (4, LARGEST_FIRST) else shared(n, s)
+    )
+    result = check_extremes_placed_once(6)
+    assert not result.passed
+    assert result.detail == "largest-first on 1,3,2,4 moves an extreme from home"
 
 
 def test_random_strategy_needs_seed():

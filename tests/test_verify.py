@@ -40,8 +40,8 @@ def test_all_runs_everything():
 
 
 def test_each_table_is_built_once(monkeypatch):
-    """The checks share one table per n; only ``stage1_longest``, the
-    library function its check tests, builds its own."""
+    """The checks share one height table per n, and one step table per
+    strategy and n."""
     for cached in (verify._table, verify._signed, verify._weighed, verify._steps):
         cached.cache_clear()
     build = Mock(wraps=heights.build_height_table)
@@ -51,8 +51,10 @@ def test_each_table_is_built_once(monkeypatch):
     monkeypatch.setattr(verify, "step_table", step)
     assert all(r.passed for r in run_suite("all", nmax=7))
     built = sorted(call.args[0] for call in build.call_args_list)
-    assert built == sorted([*range(1, 8), *range(2, 8)])  # 13, not 56
-    assert step.call_count == 3 * 7  # three strategies per n, not once per check
+    assert built == list(range(1, 8))  # 7, not 56
+    # three extremal strategies per n, not once per check, and leftmost-not-home
+    # for the extremes check at n = 2..6
+    assert step.call_count == 3 * 7 + 5
     for array in (*verify._signed(5), *verify._weighed(5), verify._steps(5, "smallest-first")):
         with pytest.raises(ValueError):
             array[0] = 0
