@@ -24,7 +24,6 @@ from .perms import (
     displacement_successors,
     format_perm,
     identity,
-    is_home,
     is_permutation,
     lis_length,
     parse_perm,
@@ -32,7 +31,6 @@ from .perms import (
     place_inplace,
     placeable_values,
     placement_successors,
-    position_of,
     rank,
     reverse,
     reverse_complement,
@@ -40,7 +38,6 @@ from .perms import (
     stage,
     swap_ends,
     unrank,
-    value_at,
 )
 from .codes import StripStep, code_of, parse_code, strip_trace, weight
 from .errors import (
@@ -73,7 +70,6 @@ __all__ = [
     "displacement_successors",
     "format_perm",
     "identity",
-    "is_home",
     "is_permutation",
     "lis_length",
     "parse_code",
@@ -82,7 +78,6 @@ __all__ = [
     "place_inplace",
     "placeable_values",
     "placement_successors",
-    "position_of",
     "rank",
     "reverse",
     "reverse_complement",
@@ -91,6 +86,5 @@ __all__ = [
     "strip_trace",
     "swap_ends",
     "unrank",
-    "value_at",
     "weight",
 ]

@@ -19,9 +19,9 @@ input only: argparse's usage errors (including a ``--format`` the
 subcommand does not accept, see :data:`FORMATS`), :class:`InputError`
 (malformed permutation/word/partition text, an argument out of range, a
 seed given to a strategy that draws nothing, an ``--out`` path whose
-directory does not exist or that names a directory, refused before any
-work) and
-:class:`CapacityError`;
+directory does not exist, that names a directory, or that names an
+existing file that is not a regular one, such as a FIFO or a device,
+refused before any work) and :class:`CapacityError`;
 141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Any other exception is a bug and propagates.  Output is byte-deterministic
 given identical flags and seed.  ``--out FILE`` writes atomically through
@@ -337,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise InputError(f"cannot write --out {args.out}: its directory does not exist")
             if os.path.isdir(args.out) or args.out.endswith(os.sep):
                 raise InputError(f"cannot write --out {args.out}: it names a directory")
+            if os.path.exists(args.out) and not os.path.isfile(args.out):
+                # a FIFO or a device node, which the atomic rename would replace
+                raise InputError(f"cannot write --out {args.out}: it is not a regular file")
         return args.handler(args)
     except (InputError, CapacityError) as err:
         print(f"homing {args.command}: {err}", file=sys.stderr)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
-from .perms import Perm, is_permutation, placement_successors, rank, unrank
+from .perms import Perm, as_perm, placement_successors, rank, unrank
 from .successors import check_cap, release_rounds
 
 DEFAULT_CAP = 10
@@ -45,9 +45,7 @@ class HeightTable:
     def height_of(self, p: Perm) -> int:
         if len(p) != self.n:
             raise InputError(f"the table is for n = {self.n}, got a permutation of length {len(p)}")
-        if not is_permutation(p):
-            raise InputError(f"not a permutation of 1..{self.n}: {tuple(p)!r}")
-        return int(self.heights[rank(p)])
+        return int(self.heights[rank(as_perm(p))])
 
     def max(self) -> int:
         return int(self.heights.max())
@@ -78,6 +76,7 @@ def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
     and pushes its successors, and the entry ``(state, successors)`` left
     beneath them finishes it.  ``path`` holds the entered but unfinished
     states, so reaching one of them again is a cycle."""
+    p = as_perm(p)
     check_cap(len(p), cap)
     memo: dict[Perm, int] = {}
     path: set[Perm] = set()

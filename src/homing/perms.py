@@ -11,14 +11,16 @@ inverse: it evicts a value that currently sits at home.  Both are pure
 functions on tuples, so everything here is safe to share across threads.
 ``place_inplace`` is the one placement routine: it makes the same move on a
 mutable row (a list, a ``bytearray`` or an ``array.array``), and ``place``
-runs it on a copy.
+runs it on a copy.  ``as_perm`` is the one validity check, which every
+search or run toward the identity makes on the state it is given.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
 from math import factorial
-from typing import Iterator, MutableSequence, NamedTuple, Sequence
+from typing import Iterable, Iterator, MutableSequence, NamedTuple, SupportsIndex
 
 from .errors import InputError, InvalidMoveError, ParseError
 
@@ -36,27 +38,44 @@ class DisplacementMove(NamedTuple):
 # construction and validation
 # ---------------------------------------------------------------------------
 
-def is_permutation(values: Sequence[int]) -> bool:
-    """True if ``values`` is a permutation of 1..len(values).
+def as_perm(values: Iterable[SupportsIndex]) -> Perm:
+    """Validate ``values`` and freeze them into a tuple of Python ints.
+
+    Any integer :func:`operator.index` accepts will do, numpy's included.
+    A :class:`ParseError` names the first entry that is not an integer,
+    lies outside 1..n or repeats.
+
+    >>> as_perm([2, 1, 3])
+    (2, 1, 3)
+    """
+    values = tuple(values)
+    n = len(values)
+    seen: dict[int, None] = {}  # the entries so far, in order
+    for v in values:
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise ParseError(f"not a permutation of 1..{n}: entry {v!r} is not an integer") from None
+        if not 1 <= v <= n:
+            raise ParseError(f"not a permutation of 1..{n}: entry {v} out of range")
+        if v in seen:
+            raise ParseError(f"not a permutation of 1..{n}: entry {v} repeated")
+        seen[v] = None
+    return tuple(seen)
+
+
+def is_permutation(values: Iterable[SupportsIndex]) -> bool:
+    """True if ``values`` is a permutation of 1..len(values): whether
+    :func:`as_perm` accepts it.
 
     >>> is_permutation((2, 1, 3)), is_permutation((1, 1, 2))
     (True, False)
     """
-    n = len(values)
-    seen = [False] * (n + 1)
-    for v in values:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
-            return False
-        seen[v] = True
+    try:
+        as_perm(values)
+    except ParseError:
+        return False
     return True
-
-
-def as_perm(values: Sequence[int]) -> Perm:
-    """Validate and freeze ``values`` into a permutation tuple."""
-    p = tuple(values)
-    if not is_permutation(p):
-        raise ParseError(f"not a permutation of 1..{len(p)}: {p!r}")
-    return p
 
 
 def identity(n: int) -> Perm:
@@ -114,37 +133,13 @@ def all_perms(n: int) -> Iterator[Perm]:
 
 
 # ---------------------------------------------------------------------------
-# positions, values and elementary queries
+# the two moves
 # ---------------------------------------------------------------------------
-
-def position_of(p: Perm, value: int) -> int:
-    """1-based position of ``value`` in ``p``."""
-    return p.index(value) + 1
-
-
-def value_at(p: Perm, position: int) -> int:
-    """Value sitting at the 1-based ``position``."""
-    return p[position - 1]
-
-
-def is_home(p: Perm, value: int) -> bool:
-    """True if ``value`` sits at its own position."""
-    return p[value - 1] == value
-
 
 def placeable_values(p: Perm) -> list[int]:
     """Values that are out of place, listed in positional order."""
     return [v for pos, v in enumerate(p, 1) if v != pos]
 
-
-def home_values(p: Perm) -> list[int]:
-    """Values currently sitting at home, in increasing order."""
-    return [v for pos, v in enumerate(p, 1) if v == pos]
-
-
-# ---------------------------------------------------------------------------
-# the two moves
-# ---------------------------------------------------------------------------
 
 def place_inplace(row: MutableSequence[int], value: int) -> None:
     """Move ``value`` to its home position in ``row`` itself, shifting what
@@ -213,13 +208,11 @@ def displacement_successors(p: Perm) -> list[tuple[DisplacementMove, Perm]]:
 
     The identity on n values admits exactly n(n-1) evictions.
     """
-    n = len(p)
-    out = []
-    for v in home_values(p):
-        for target in range(1, n + 1):
-            if target != v:
-                out.append((DisplacementMove(v, target), displace(p, v, target)))
-    return out
+    return [
+        (DisplacementMove(v, target), displace(p, v, target))
+        for home, v in enumerate(p, 1) if v == home
+        for target in range(1, len(p) + 1) if target != v
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -320,22 +313,13 @@ def parse_perm(text: str) -> Perm:
     >>> parse_perm("4,1,3,5,2")
     (4, 1, 3, 5, 2)
     """
-    tokens = [t.strip() for t in text.split(",")]
     values = []
-    for token in tokens:
+    for token in text.split(","):
         try:
             values.append(int(token))
         except ValueError:
-            raise ParseError(f"invalid permutation entry {token!r}") from None
-    n = len(values)
-    seen = set()
-    for v in values:
-        if not 1 <= v <= n:
-            raise ParseError(f"permutation entry {v} out of range 1..{n}")
-        if v in seen:
-            raise ParseError(f"permutation entry {v} repeated")
-        seen.add(v)
-    return tuple(values)
+            raise ParseError(f"invalid permutation entry {token.strip()!r}") from None
+    return as_perm(values)
 
 
 def format_perm(p: Perm) -> str:

@@ -45,7 +45,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .perms import Perm, identity, place, place_inplace, placeable_values
+from .perms import Perm, as_perm, identity, place, place_inplace, placeable_values
 from .successors import check_cap, code_signs, code_weights, place_rows, release_rounds, step_ranks
 
 SMALLEST_FIRST = "smallest-first"
@@ -303,7 +303,6 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     draw nothing, refuse one.  Every strategy terminates; the step count can
     never exceed 2^(n-1) - 1.
     """
-    n = len(p)
     if strategy == RANDOM:
         if seed is None:
             raise InputError("the random strategy requires an explicit seed")
@@ -321,6 +320,8 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
         if seed is not None:
             raise InputError(f"the {strategy} strategy draws nothing, so it takes no seed")
 
+    p = as_perm(p)
+    n = len(p)
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     limit = (1 << (n - 1)) - 1
@@ -397,6 +398,7 @@ def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
 
     Always lies between n - lis_length(p) and n - 1.
     """
+    p = as_perm(p)
     n = len(p)
     check_cap(n, cap)
     target = identity(n)

@@ -40,8 +40,12 @@ def layer_bytes(n: int) -> int:
 
 
 def check_cap(n: int, cap: int) -> None:
-    """Refuse an exhaustive pass over S_n for n < 1 or beyond ``cap``,
-    before allocating, naming the :func:`layer_bytes` estimate."""
+    """Refuse n < 1, or n beyond ``cap``, before allocating, naming the
+    :func:`layer_bytes` estimate.  The height and step tables hold about
+    that (87 MB peak RSS for the height table at n = 10); the shortest-sort
+    table's widest round makes it hold more (529 MB at n = 10).  The
+    per-state searches refuse a permutation longer than their cap, though
+    they keep only the states they reach from it, and no table."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if n > cap:

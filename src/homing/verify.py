@@ -31,9 +31,11 @@ The inputs the checks share per n -- the height table of S_n, the rows of
 S_n with their code signs and weights, and the step tables of the four
 deterministic strategies (the three extremal ones for the strategy checks
 to n <= 9, and leftmost-not-home too for the extremes check to n <= 6) --
-are computed once per process and kept read-only.  The ceilings bound what
-is kept: height tables for n <= 10 (14.5 MB at n = 10), and rows and step
-tables for n <= 9 (4.4 MB of step tables at n = 9).
+and per code length k -- every code's signs and weight -- are computed once
+per process and kept read-only.  The ceilings bound what is kept: height
+tables for n <= 10 (14.5 MB at n = 10), rows and step tables for n <= 9
+(4.4 MB of step tables at n = 9), and code tables for k <= 12 (about 16 MB
+in all).
 """
 from __future__ import annotations
 
@@ -137,14 +139,17 @@ def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]],
     return wrap
 
 
+@cache
 def _code_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every code of length k as a row of signs, in ``itertools.product("+-0")``
-    order, and the kernel's weight of each.  Row r reads r in base 3, digits
-    0, 1, 2 for '+', '-', '0'."""
+    order, and the kernel's weight of each, shared by the code-weight checks.
+    Row r reads r in base 3, digits 0, 1, 2 for '+', '-', '0'."""
     signs = np.empty((3**k, k), np.int8)
     for i in range(k):  # symbol i: '+', '-', '0' in runs of 3^(k-1-i) rows
         signs.reshape(3**i, 3, -1, k)[..., i] = [[1], [-1], [0]]
-    return signs, code_weights(signs)
+    w = code_weights(signs)
+    signs.flags.writeable = w.flags.writeable = False
+    return signs, w
 
 
 def _text(signs: np.ndarray) -> str:

@@ -323,6 +323,20 @@ def test_out_naming_a_directory_exits_2_before_the_handler(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.rglob("*")] == (["dir"] if exists else [])
 
 
+def test_out_naming_a_fifo_exits_2_before_the_handler(tmp_path, monkeypatch, capsys):
+    """The atomic rename would replace the FIFO with a regular file."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "height", not_reached)
+    target = tmp_path / "fifo"
+    os.mkfifo(target)
+    code, out, err = run_cli(capsys, "height", "--perm", "2,1", "--out", str(target))
+    assert code == 2 and out == "" and f"--out {target}: it is not a regular file" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"] and target.is_fifo()
+
+
 def test_words_stream_one_at_a_time(tmp_path, monkeypatch, capsys):
     def cut(n):
         words = canonical_words(n)

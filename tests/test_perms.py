@@ -2,6 +2,7 @@
 import itertools
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +31,11 @@ from homing import (
     stage,
     swap_ends,
     unrank,
-    value_at,
 )
+from homing import heights, perms, strategies
+from homing.heights import build_height_table, height
+from homing.strategies import RANDOM, STRATEGIES, min_placements, run_strategy
+from homing.successors import perm_matrix
 from homing.verify import check_inversion
 
 
@@ -66,7 +70,7 @@ def test_place_matches_oracle_exhaustively(n):
         for v in placeable_values(p):
             q = place(p, v)
             assert q == oracle_move(p, v, v)
-            assert value_at(q, v) == v
+            assert q[v - 1] == v
             assert sorted(q) == sorted(p)
             # all other values keep their relative order
             assert [x for x in q if x != v] == [x for x in p if x != v]
@@ -237,3 +241,63 @@ def test_is_permutation_and_as_perm():
     assert as_perm([2, 1]) == (2, 1)
     with pytest.raises(ParseError):
         as_perm([1, 3])
+
+
+@pytest.mark.parametrize(
+    "values, fragment",
+    [
+        ((2, 2), "entry 2 repeated"),
+        ((0, 1), "entry 0 out of range"),
+        ((3, 3, 3), "of 1..3: entry 3 repeated"),
+        ((5, 1, 1), "entry 5 out of range"),  # the first fault, not the repeat
+        ((1, 2, 3, 4, 4.0), "entry 4.0 is not an integer"),
+        ((1, "2"), "entry '2' is not an integer"),
+    ],
+)
+def test_as_perm_names_the_first_bad_entry(values, fragment):
+    with pytest.raises(ParseError) as err:
+        as_perm(values)
+    assert fragment in str(err.value)
+    assert not is_permutation(values)
+
+
+NOT_PERMUTATIONS = [(2, 2), (0, 1), (3, 3, 3), (1, 2, 3, 4, 4.0)]
+
+
+@pytest.fixture
+def no_placement(monkeypatch):
+    """Every placement routine the entry points can reach fails the test,
+    so a state that slips past the check fails fast instead of looping."""
+
+    def refuse(*args):
+        raise AssertionError("a placement ran before the state was checked")
+
+    for module in (perms, heights, strategies):
+        for name in ("place", "place_inplace", "placement_successors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("p", NOT_PERMUTATIONS)
+def test_entry_points_refuse_a_non_permutation_before_placing(p, no_placement):
+    with pytest.raises(InputError):
+        height(p)
+    with pytest.raises(InputError):
+        min_placements(p)
+    for s in STRATEGIES:
+        with pytest.raises(InputError):
+            run_strategy(p, s, seed=1 if s == RANDOM else None)
+
+
+def test_numpy_int_states_give_the_same_results():
+    table = build_height_table(4)
+    for row in perm_matrix(4):
+        q, p = tuple(row), tuple(row.tolist())
+        assert isinstance(q[0], np.int8)
+        assert as_perm(q) == p and all(type(v) is int for v in as_perm(q))
+        assert height(q) == height(p) == table.height_of(q)
+        assert min_placements(q) == min_placements(p)
+        for s in STRATEGIES:
+            seed = 1 if s == RANDOM else None
+            a, b = run_strategy(q, s, seed=seed), run_strategy(p, s, seed=seed)
+            assert a == b and list(a.lines()) == list(b.lines())
