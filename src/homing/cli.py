@@ -51,20 +51,19 @@ from .firings import (
     partition_to_word,
     word_to_partition,
 )
-from .heights import DEFAULT_CAP, height, worst_case_permutations
+from .heights import height, worst_case_permutations
 from .perms import format_perm, parse_perm
-from .strategies import (
-    DEFAULT_SEARCH_CAP,
-    STRATEGIES,
-    min_placements,
-    random_homing_mean,
-    run_strategy,
-)
+from .strategies import STRATEGIES, min_placements, random_homing_mean, run_strategy
+from .successors import DEFAULT_CAP
 from .verify import run_suite, suite_names
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a producer the pipe killed
+CAP_HELP = (
+    f"largest n (permutation length) to accept; a larger one is refused before any work "
+    f"(default {DEFAULT_CAP})"
+)
 
 # subcommand -> (default --format, the formats it accepts); argparse rejects
 # any other format with exit code 2
@@ -284,15 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("height", _cmd_height, "longest placement distance to the identity")
     sp.add_argument("--perm", required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"state-space cap (default {DEFAULT_CAP})")
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
     sp = add("min-steps", _cmd_min_steps, "shortest placement distance to the identity")
     sp.add_argument("--perm", required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_SEARCH_CAP, help=f"search cap (default {DEFAULT_SEARCH_CAP})")
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
     sp = add("enum-mn", _cmd_enum_mn, "enumerate the worst-case permutations of size n")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
     sp = add("count-mn", _cmd_count_mn, "worst-case counts 2..nmax from the recurrence")
     sp.add_argument("--nmax", type=int, required=True)
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax",
         type=_verify_nmax,
         default=7,
-        help="scale cap, at least 3 (default 7); 10 or more builds all of S_10 (about 9 s, 135 MB peak)",
+        help="scale cap, at least 3 (default 7); 10 or more builds all of S_10 (about 8 s, 122 MB peak)",
     )
 
     return parser

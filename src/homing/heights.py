@@ -22,9 +22,7 @@ import numpy as np
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
 from .perms import Perm, as_perm, placement_successors, rank, unrank
-from .successors import check_cap, release_rounds
-
-DEFAULT_CAP = 10
+from .successors import DEFAULT_CAP, check_cap, release_rounds
 
 _MAGIC = b"HOMH"
 _VERSION = 1

@@ -46,7 +46,15 @@ import numpy as np
 
 from .errors import InputError
 from .perms import Perm, as_perm, identity, place, place_inplace, placeable_values
-from .successors import check_cap, code_signs, code_weights, place_rows, release_rounds, step_ranks
+from .successors import (
+    DEFAULT_CAP,
+    check_cap,
+    code_signs,
+    code_weights,
+    place_rows,
+    release_rounds,
+    step_ranks,
+)
 
 SMALLEST_FIRST = "smallest-first"
 LARGEST_FIRST = "largest-first"
@@ -61,8 +69,6 @@ STRATEGIES = (
     LEFTMOST_NOT_HOME,
     RANDOM,
 )
-
-DEFAULT_SEARCH_CAP = 9
 
 _BLOCK = 1 << 13  # trace steps per block of codes, weights and text
 _CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
@@ -354,7 +360,8 @@ def step_table(n: int, strategy: str) -> np.ndarray:
     Each strategy is one :func:`homing.successors.place_rows` step over all
     of S_n, and alternating-extremal two.  :func:`run_strategy`, one state
     at a time, is the oracle the tests compare it with.  n is refused
-    beyond ``DEFAULT_SEARCH_CAP`` before anything is allocated.
+    beyond :data:`homing.successors.DEFAULT_CAP` before anything is
+    allocated.
 
     >>> step_table(3, SMALLEST_FIRST).tolist()  # 3,1,2 and 3,2,1 place 1 into 1,3,2
     [0, 0, 0, 0, 1, 1]
@@ -363,7 +370,7 @@ def step_table(n: int, strategy: str) -> np.ndarray:
         step = _ROW_STEPS[strategy]
     except KeyError:
         raise InputError(f"the {strategy!r} strategy has no step table") from None
-    check_cap(n, DEFAULT_SEARCH_CAP)
+    check_cap(n, DEFAULT_CAP)
     return step_ranks(n, step)
 
 
@@ -392,7 +399,7 @@ def step_counts(table: np.ndarray, limit: int) -> np.ndarray:
 # shortest sorts
 # ---------------------------------------------------------------------------
 
-def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
+def min_placements(p: Perm, cap: int = DEFAULT_CAP) -> int:
     """Fewest placements that sort ``p``, by BFS over the placement digraph,
     keeping the states it has reached.
 
@@ -421,7 +428,7 @@ def min_placements(p: Perm, cap: int = DEFAULT_SEARCH_CAP) -> int:
         frontier = nxt
 
 
-def min_placements_table(n: int, cap: int = DEFAULT_SEARCH_CAP) -> bytearray:
+def min_placements_table(n: int, cap: int = DEFAULT_CAP) -> bytearray:
     """``min_placements`` for every permutation at once, indexed by rank: BFS
     rounds from the identity along displacements, placements run backwards."""
     check_cap(n, cap)

@@ -18,24 +18,25 @@ when the case holds, or a description of the counterexample, which ends
 the check.  A check that asserts on a whole array at once yields the
 number of cases the array held instead (0 adds none).  :func:`_property`
 turns it into a ``Check`` that returns a :class:`PropertyResult` carrying
-the number of cases.
+the number of cases.  A library error raised inside a check fails that
+property, and the result names the error.
 
 ``nmax`` caps the permutation sizes and code lengths explored; each
 property also carries its own natural ceiling (n <= 9 for the strategy
 checks, n <= 10 for the maximum height), so ``nmax=7`` keeps every
 suite comfortably under a few seconds while still covering thousands to
-millions of states.  The library's default caps cover every ceiling, so
+millions of states.  The library's default cap covers every ceiling, so
 the checks take no cap of their own.
 
 The inputs the checks share per n -- the height table of S_n, the rows of
-S_n with their code signs and weights, and the step tables of the four
+S_n with their code signs and weights, the step tables of the four
 deterministic strategies (the three extremal ones for the strategy checks
-to n <= 9, and leftmost-not-home too for the extremes check to n <= 6) --
-and per code length k -- every code's signs and weight -- are computed once
-per process and kept read-only.  The ceilings bound what is kept: height
-tables for n <= 10 (14.5 MB at n = 10), rows and step tables for n <= 9
-(4.4 MB of step tables at n = 9), and code tables for k <= 12 (about 16 MB
-in all).
+to n <= 9, and leftmost-not-home too for the extremes check to n <= 6),
+and the worst-case set of S_n for the firing checks -- and per code length
+k -- every code's signs and weight -- are computed once per process and
+kept read-only.  The ceilings bound what is kept: height tables for
+n <= 10 (14.5 MB at n = 10), rows and step tables for n <= 9 (4.4 MB of
+step tables at n = 9), and code tables for k <= 12 (about 16 MB in all).
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from .codes import code_of, weight
 from .counting import bell_number, split_count, worst_case_count
-from .errors import CycleError, InputError
+from .errors import HomingError, InputError
 from .firings import (
     FiringLetter,
     FiringWord,
@@ -72,6 +73,7 @@ from .firings import (
 )
 from .heights import HeightTable, build_height_table
 from .perms import (
+    Perm,
     all_perms,
     displace,
     displacement_successors,
@@ -120,16 +122,20 @@ Cases = Iterator[Union[None, str, int]]
 def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]], Check]:
     """Run a case generator to its end or to its first counterexample.  An
     int yield counts as that many cases.  A generator that yields no case
-    asserted nothing, which is a failure."""
+    asserted nothing, which is a failure, and so is one that raises a
+    :class:`HomingError`, which the result names."""
 
     def wrap(cases_of: Callable[[int], Cases]) -> Check:
         @wraps(cases_of)
         def check(nmax: int) -> PropertyResult:
             cases = 0
-            for outcome in cases_of(nmax):
-                if isinstance(outcome, str):
-                    return PropertyResult(name, False, outcome, cases)
-                cases += 1 if outcome is None else outcome
+            try:
+                for outcome in cases_of(nmax):
+                    if isinstance(outcome, str):
+                        return PropertyResult(name, False, outcome, cases)
+                    cases += 1 if outcome is None else outcome
+            except HomingError as err:
+                return PropertyResult(name, False, f"{type(err).__name__}: {err}", cases)
             if not cases:
                 return PropertyResult(name, False, f"no case checked at nmax={nmax}", 0)
             return PropertyResult(name, True, detail, cases)
@@ -164,6 +170,13 @@ def _state(n: int, r: int) -> str:
 def _table(n: int) -> HeightTable:
     """The height table of S_n, shared by every check."""
     return build_height_table(n)
+
+
+@cache
+def _worst(n: int) -> frozenset[Perm]:
+    """The worst-case set of S_n, the states at height 2^(n-1) - 1, shared
+    by the firing checks."""
+    return frozenset(_table(n).members_at((1 << (n - 1)) - 1))
 
 
 @cache
@@ -252,10 +265,7 @@ def check_extremes_placed_once(nmax: int) -> Cases:
 @_property("perm-core/acyclicity")
 def check_acyclicity(nmax: int) -> Cases:
     for n in range(1, min(nmax, 7) + 1):
-        try:
-            _table(n)
-        except CycleError as err:
-            yield str(err)
+        _table(n)  # a cycle raises CycleError, which fails the property
         yield None
 
 
@@ -594,7 +604,7 @@ def check_firing_steps(nmax: int) -> Cases:
 @_property("firings/schedule-total")
 def check_schedule_total(nmax: int) -> Cases:
     for n in range(2, min(nmax, 8) + 1):
-        members = set(_table(n).members_at((1 << (n - 1)) - 1))
+        members = _worst(n)
         states = [swap_ends(n)] * (n - 1)  # the state at each depth of the current branch
         spent = [0] * (n - 1)  # displacements spent along it to each depth
         for word, p in walk(n):
@@ -616,7 +626,7 @@ def check_word_bijection(nmax: int) -> Cases:
         images = set(ends)
         if len(images) != len(ends):
             yield f"n={n}: words collide"
-        members = set(_table(n).members_at((1 << (n - 1)) - 1))
+        members = _worst(n)
         if len(images) != len(members):
             yield f"n={n}: image has {len(images)} of {len(members)}"
         for p in images:
@@ -677,7 +687,7 @@ def check_short_firing_injectivity(nmax: int) -> Cases:
         image = short_firing_image(n)
         if len(image) != 1 << (n - 2):
             yield f"n={n}: image size {len(image)}"
-        members = set(_table(n).members_at((1 << (n - 1)) - 1))
+        members = _worst(n)
         for p in image:
             yield None if p in members else f"n={n}: image leaves the worst-case set"
 

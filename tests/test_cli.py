@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homing import InputError, ParseError, WordError, cli
+from homing import CodeShapeError, CycleError, InputError, ParseError, WordError, cli, verify
 from homing.cli import BROKEN_PIPE, FORMATS, main
 from homing.firings import canonical_words, format_word
 from homing.heights import worst_case_permutations
@@ -201,6 +201,36 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "height", "--perm", "1,2,3,4,5,6,7,8,9,10,11", "--cap", "10")
     assert code == 2 and "cap" in err
+
+
+def test_min_steps_takes_the_one_default_cap(capsys):
+    code, out, _ = run_cli(capsys, "min-steps", "--perm", "2,1,3,4,5,6,7,8,9,10")
+    assert code == 0 and out == "1\n"
+    code, out, err = run_cli(capsys, "min-steps", "--perm", "2,1,3,4,5,6,7,8,9,10,11")
+    assert code == 2 and out == "" and "n=11 exceeds the cap 10" in err
+
+
+@pytest.mark.parametrize(
+    "name, error, failed",
+    [
+        ("check_word", WordError("planted"), "firings/partition-roundtrip"),
+        ("firing_moves", CodeShapeError("planted"), "firings/step-count-and-weight"),
+        ("_table", CycleError("planted"), "perm-core/acyclicity"),
+    ],
+    ids=["word-error", "code-shape-error", "cycle-error"],
+)
+def test_a_library_error_inside_a_property_fails_it(monkeypatch, capsys, name, error, failed):
+    """An error the library raises inside a check is a verification
+    failure that names it, not bad input and not a traceback."""
+
+    def planted(*args):
+        raise error
+
+    monkeypatch.setattr(verify, name, planted)
+    suite = failed.split("/")[0]
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--nmax", "3")
+    assert code == 1 and err == ""
+    assert f"FAIL {failed}: {type(error).__name__}: planted\n" in out
 
 
 def test_argparse_usage_exit_code(capsys):

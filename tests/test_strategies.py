@@ -305,8 +305,8 @@ def test_step_table_refuses_n_beyond_its_cap_before_allocating(monkeypatch):
 
     for name in ("empty", "zeros"):
         monkeypatch.setattr(np, name, no_allocation)
-    with pytest.raises(CapacityError, match="n=10 exceeds the cap 9"):
-        step_table(10, SMALLEST_FIRST)
+    with pytest.raises(CapacityError, match="n=11 exceeds the cap 10"):
+        step_table(11, SMALLEST_FIRST)
 
 
 # -- shortest sorts ------------------------------------------------------------

@@ -21,7 +21,14 @@ from homing import (
     weight,
 )
 from homing.heights import build_height_table
-from homing.strategies import min_placements_table
+from homing.strategies import (
+    ALTERNATING_EXTREMAL,
+    LARGEST_FIRST,
+    LEFTMOST_NOT_HOME,
+    SMALLEST_FIRST,
+    min_placements_table,
+    step_table,
+)
 from homing.successors import (
     check_cap,
     code_signs,
@@ -154,6 +161,61 @@ def test_release_rounds_release_every_rank_once(n, shortest):
         assert len(rounds) == n and rounds[-1] == [factorial(n) - 1]
     else:  # heights 0 .. 2^(n-1) - 1
         assert len(rounds) == 1 << (n - 1)
+
+
+STEPPED = (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL, LEFTMOST_NOT_HOME)
+
+
+def every_table(n, steps=STEPPED):
+    """The height table, the shortest-sort table and the step tables of
+    ``steps`` over S_n, as bytes."""
+    return [
+        build_height_table(n).heights.tobytes(),
+        bytes(min_placements_table(n)),
+        *(step_table(n, s).tobytes() for s in steps),
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_slices_split_anywhere(size, monkeypatch):
+    """Slices of 1, 2 and 7 rows put slice boundaries inside every round
+    and every step, and give the tables one slice of all of S_n gives.
+    The step tables take one- and two-row slices to n = 6, where a boundary
+    already falls between every pair of rows; at n = 7 those would add 6 s
+    and 3 s to the suite."""
+    for n in range(1, 8):
+        steps = STEPPED if size == 7 or n < 7 else ()
+        monkeypatch.setattr(successors, "_SLICE", factorial(n))
+        whole = every_table(n, steps)
+        monkeypatch.setattr(successors, "_SLICE", size)
+        assert every_table(n, steps) == whole
+
+
+@pytest.mark.parametrize("n, size", [(7, 7), (9, successors._SLICE)])
+def test_no_call_sees_more_than_a_slice(n, size, monkeypatch):
+    """The rounds rank, and ``step_ranks`` steps, at most ``_SLICE`` rows
+    per call, and every row once: the widest BFS round at n = 9, and every
+    step, span several slices."""
+    monkeypatch.setattr(successors, "_SLICE", size)
+    ranked, stepped = [], []
+    real = successors.displacement_ranks
+
+    def ranking(rows):
+        ranked.append(len(rows))
+        return real(rows)
+
+    def stepping(rows):
+        stepped.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(successors, "displacement_ranks", ranking)
+    for shortest in (False, True):
+        ranked.clear()
+        assert sum(map(len, release_rounds(n, shortest))) == factorial(n)
+        assert sum(ranked) == factorial(n) and max(ranked) <= size
+    assert max(ranked) == size  # the BFS has a round wider than a slice
+    step_ranks(n, stepping)
+    assert sum(stepped) == factorial(n) - 1 and max(stepped) == size
 
 
 @pytest.mark.parametrize("build", TABLES)

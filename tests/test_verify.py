@@ -42,7 +42,9 @@ def test_all_runs_everything():
 def test_each_table_is_built_once(monkeypatch):
     """The checks share one height table per n, one step table per
     strategy and n, and one code table per length, all read-only."""
-    for cached in (verify._table, verify._signed, verify._weighed, verify._steps, verify._code_table):
+    for cached in (
+        verify._table, verify._worst, verify._signed, verify._weighed, verify._steps, verify._code_table
+    ):
         cached.cache_clear()
     build = Mock(wraps=heights.build_height_table)
     for module in (heights, verify):
@@ -56,6 +58,7 @@ def test_each_table_is_built_once(monkeypatch):
     # for the extremes check at n = 2..6
     assert step.call_count == 3 * 7 + 5
     assert verify._code_table.cache_info().misses == 8  # k = 0..7, not once per check
+    assert verify._worst.cache_info().misses == 6  # n = 2..7, not once per firing check
     shared = (*verify._signed(5), *verify._weighed(5), verify._steps(5, "smallest-first"), *verify._code_table(5))
     for array in shared:
         with pytest.raises(ValueError):
