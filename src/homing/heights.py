@@ -21,8 +21,8 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
-from .perms import Perm, as_perm, placement_successors, rank, unrank
-from .successors import DEFAULT_CAP, check_cap, release_rounds
+from .perms import Perm, as_perm, placement_successors, rank
+from .successors import DEFAULT_CAP, check_cap, release_rounds, unrank_rows
 
 _MAGIC = b"HOMH"
 _VERSION = 1
@@ -54,7 +54,7 @@ class HeightTable:
 
     def members_at(self, h: int) -> list[Perm]:
         """All permutations of the given height, in lexicographic order."""
-        return [unrank(self.n, int(r)) for r in np.nonzero(self.heights == h)[0]]
+        return list(map(tuple, unrank_rows(self.n, np.flatnonzero(self.heights == h)).tolist()))
 
 
 def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:

@@ -271,6 +271,10 @@ def reverse_complement(p: Perm) -> Perm:
 def rank(p: Perm) -> int:
     """Lexicographic index of ``p`` among all permutations of its length.
 
+    ``p`` is trusted to be a permutation: anything else gets a number, not
+    an error.  Validate outside input with :func:`as_perm` first, as the
+    one library caller, :meth:`homing.heights.HeightTable.height_of`, does.
+
     >>> rank((1, 2, 3)), rank((3, 2, 1))
     (0, 5)
     """

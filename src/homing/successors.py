@@ -15,6 +15,16 @@ are the weight kernel, the code and weight of many states at once.  Height
 and BFS tables come from :func:`release_rounds`; traces and the lemma checks
 run on this layer too, and :mod:`homing.codes` defines codes and weights.
 
+Ranking runs on columns: one kernel ranks an n x count matrix whose
+column is a permutation, so each comparison reads two unit-stride rows.
+:func:`rank_rows` hands it its rows transposed, and :func:`unrank_rows`
+gives rows back the same way, as the transpose of the columns it decodes.
+:func:`displacement_ranks` transposes its batch once and builds every
+eviction as a column: per home value v, the columns with v home,
+reordered once per target.  Its entries therefore come per home value,
+then per target position, then per row, and :func:`displacement_sources`
+pairs with them in that order.
+
 Every pass over S_n holds the n-column matrix of its states and a little
 more per state, and works through them in slices of at most ``_SLICE``
 rows: :func:`release_rounds` ranks each round's evictions slice by slice,
@@ -53,7 +63,7 @@ def check_cap(n: int, cap: int) -> None:
     """Refuse n < 1, or n beyond ``cap``, before allocating, naming the
     :func:`layer_bytes` estimate.  Every table over S_n holds about that
     plus one slice's work: at n = 10 the estimate is 54 MB, and the peak
-    RSS of a fresh process is 91 MB for the height table, 110 MB for the
+    RSS of a fresh process is 89 MB for the height table, 108 MB for the
     shortest-sort table and 84 MB for the alternating-extremal step table.
     The per-state searches refuse a permutation longer than their cap,
     though they keep only the states they reach from it, and no table."""
@@ -104,28 +114,74 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
     >>> rank_rows(perm_matrix(3)).tolist()
     [0, 1, 2, 3, 4, 5]
     """
-    count, n = rows.shape
+    n = rows.shape[1]
     if n > _MAX_RANK_N:
         raise ValueError(f"rank_rows needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
-    cols = np.ascontiguousarray(rows.T)
+    return _rank_cols(rows.T)
+
+
+def _rank_cols(cols: np.ndarray) -> np.ndarray:
+    """The rank, as int32, of every column of an n x count matrix of
+    permutations.  Each Lehmer digit, the count of later entries smaller
+    than entry i, is summed in int8 and only then folded into the rank."""
+    cols = np.ascontiguousarray(cols)  # a row per position: the compares run unit-stride
+    n, count = cols.shape
     ranks = np.zeros(count, dtype=np.int32)
+    digit = np.empty(count, dtype=np.int8)
+    less = np.empty(count, dtype=np.int8)
     for i in range(n - 1):
         ranks *= n - i
-        for j in range(i + 1, n):
-            ranks += cols[j] < cols[i]
+        np.less(cols[i + 1], cols[i], out=digit)
+        for j in range(i + 2, n):
+            np.less(cols[j], cols[i], out=less)
+            digit += less
+        ranks += digit
     return ranks
+
+
+def unrank_rows(n: int, ranks) -> np.ndarray:
+    """The permutations of 1..n with the given ranks, as the int8 rows of a
+    len(ranks) x n matrix: :func:`homing.perms.unrank` of every rank.
+
+    The mixed-radix digits come from ``np.divmod``; the Lehmer code
+    is then decoded from the right, each entry placed among the entries
+    after it by bumping those at or above it.  n beyond 12 and any rank
+    outside 0..n!-1 are refused before anything is allocated.
+
+    >>> unrank_rows(3, [0, 3, 5]).tolist()
+    [[1, 2, 3], [2, 3, 1], [3, 2, 1]]
+    """
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    if n > _MAX_RANK_N:
+        raise CapacityError(f"unrank_rows needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
+    ranks = np.asarray(ranks)
+    if ranks.ndim != 1 or (ranks.size and ranks.dtype.kind not in "iu"):
+        raise InputError(f"ranks must be one integer per row, got {ranks.dtype} {ranks.shape}")
+    if ranks.size and not 0 <= ranks.min() <= ranks.max() < factorial(n):
+        raise InputError(
+            f"ranks {ranks.min()}..{ranks.max()} leave 0..{factorial(n) - 1}, the ranks of S_{n}"
+        )
+    cols = np.ones((n, len(ranks)), dtype=np.int8)  # the last entry is 1 among itself
+    rest = ranks.astype(np.int64)
+    for i in range(n - 2, -1, -1):
+        rest, digit = np.divmod(rest, n - i)
+        cols[i] = digit + 1
+        cols[i + 1 :] += cols[i + 1 :] >= cols[i]
+    return cols.T
 
 
 @cache
 def _eviction_orders(n: int) -> tuple[np.ndarray, ...]:
-    """Per home value v, the column orders that move column v-1 to each
-    other position, as a read-only (n-1) x n index array."""
+    """Per home value v, the n x (n-1) read-only index array whose column t
+    reorders a permutation's positions to evict v to its t-th other
+    position: entry c names the position the evicted state reads at c."""
     orders = []
     for v in range(1, n + 1):
         rest = [c for c in range(n) if c != v - 1]
         order = np.array(
             [rest[:t] + [v - 1] + rest[t:] for t in range(n) if t != v - 1], dtype=np.intp
-        ).reshape(n - 1, n)
+        ).reshape(n - 1, n).T.copy()
         order.flags.writeable = False
         orders.append(order)
     return tuple(orders)
@@ -134,18 +190,23 @@ def _eviction_orders(n: int) -> tuple[np.ndarray, ...]:
 def displacement_ranks(rows: np.ndarray) -> np.ndarray:
     """Ranks of every eviction from every row of ``rows``, with multiplicity.
 
-    There is one entry per (row, home value, target) triple, so each rank
-    appears once for every placement that leads from it into ``rows``.
+    There is one entry per (home value, target, row) triple, in that order,
+    so each rank appears once for every placement that leads from it into
+    ``rows``.  Every eviction is built and ranked as a column.
 
     >>> displacement_ranks(perm_matrix(2)[:1]).tolist()  # both evictions give 2,1
     [1, 1]
     """
     n = rows.shape[1]
-    moved = [
-        rows[rows[:, v - 1] == v][:, order].reshape(-1, n)
-        for v, order in enumerate(_eviction_orders(n), 1)
-    ]
-    return rank_rows(np.concatenate(moved))
+    cols = rows.T
+    moved = np.concatenate(
+        [
+            cols[:, cols[v - 1] == v][order].reshape(n, -1)
+            for v, order in enumerate(_eviction_orders(n), 1)
+        ],
+        axis=1,
+    )
+    return _rank_cols(moved)
 
 
 def displacement_sources(rows: np.ndarray) -> np.ndarray:
@@ -153,11 +214,11 @@ def displacement_sources(rows: np.ndarray) -> np.ndarray:
     :func:`displacement_ranks` evicts from, in the same order.
 
     >>> displacement_sources(perm_matrix(3)[:2]).tolist()  # 1,2,3 has 3 homes, 1,3,2 one
-    [0, 0, 1, 1, 0, 0, 0, 0]
+    [0, 1, 0, 1, 0, 0, 0, 0]
     """
     n = rows.shape[1]
     return np.concatenate(
-        [np.repeat(np.flatnonzero(rows[:, v - 1] == v), n - 1) for v in range(1, n + 1)]
+        [np.tile(np.flatnonzero(rows[:, v - 1] == v), n - 1) for v in range(1, n + 1)]
     )
 
 

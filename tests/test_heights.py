@@ -18,6 +18,7 @@ from homing import (
     rank,
     rotation,
     swap_ends,
+    unrank,
 )
 from homing import cli, heights
 from homing.heights import (
@@ -311,6 +312,21 @@ def test_members_json_is_json_dumps(n):
     for h in range(table.max() + 1):
         members = table.members_at(h)
         assert members_json(members) == json.dumps([list(p) for p in members]) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_members_at_unranks_every_height(n):
+    """The bulk unrank gives, height by height, the tuples of Python ints
+    one ``perms.unrank`` call per rank gives."""
+    table = build_height_table(n)
+    expected = {}
+    for r, h in enumerate(table.heights.tolist()):
+        expected.setdefault(h, []).append(unrank(n, r))
+    for h in range(table.max() + 1):
+        members = table.members_at(h)
+        assert members == expected[h]
+        assert all(type(v) is int for p in members for v in p)
+    assert table.members_at(table.max() + 1) == []
 
 
 def test_tables_are_read_only(tmp_path):

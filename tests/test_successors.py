@@ -7,8 +7,10 @@ import pytest
 from homing import (
     CapacityError,
     CycleError,
+    InputError,
     all_perms,
     code_of,
+    displace,
     displacement_successors,
     heights,
     lis_length,
@@ -42,6 +44,7 @@ from homing.successors import (
     release_rounds,
     stage_rows,
     step_ranks,
+    unrank_rows,
 )
 
 TABLES = [build_height_table, min_placements_table]
@@ -70,7 +73,7 @@ def test_displacement_ranks_match_successors(n):
     )
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_displacement_sources_pair_with_ranks(n):
     """Each eviction's source row and target rank, as one edge multiset."""
     rows = perm_matrix(n)
@@ -84,6 +87,27 @@ def test_displacement_sources_pair_with_ranks(n):
     assert sorted((1 + 2 * s, r) for s, r in edges) == sorted(
         (rank(p), rank(q)) for p in list(all_perms(n))[1::2] for _, q in displacement_successors(p)
     )
+    # a batch of no rows evicts nothing, and one row evicts as a batch of one
+    assert len(displacement_sources(rows[:0])) == len(displacement_ranks(rows[:0])) == 0
+    first = rows[:1]  # the identity: every value home
+    edges = sorted(zip(displacement_sources(first).tolist(), displacement_ranks(first).tolist()))
+    assert edges == sorted((0, rank(q)) for _, q in displacement_successors(unrank(n, 0)))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_evictions_come_by_home_value_then_target_then_row(n):
+    """Entry by entry, in the documented order: every home value v, every
+    target position t other than v, every row with v home."""
+    rows = perm_matrix(n)
+    expected = [
+        (s, rank(displace(p, v, t)))
+        for v in range(1, n + 1)
+        for t in range(1, n + 1)
+        if t != v
+        for s, p in enumerate(all_perms(n))
+        if p[v - 1] == v
+    ]
+    assert list(zip(displacement_sources(rows).tolist(), displacement_ranks(rows).tolist())) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -130,6 +154,51 @@ def test_kernel_weighs_every_state(n):
     signs = code_signs(positions)
     assert signs.dtype == np.int8 and signs.shape == (factorial(n), max(n - 2, 0))
     assert code_weights(signs).tolist() == [weight(code_of(p)) for p in all_perms(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_unrank_rows_is_perm_matrix(n):
+    rows = unrank_rows(n, np.arange(factorial(n)))
+    assert rows.dtype == np.int8 and rows.shape == (factorial(n), n)
+    assert np.array_equal(rows, perm_matrix(n))
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_unrank_rows_round_trips_through_rank_rows(n):
+    """Sampled ranks, both ends of S_n among them, with the tuple-level
+    unrank on a few."""
+    sample = np.random.default_rng(n).integers(0, factorial(n), 5000)
+    ranks = np.concatenate([[0, factorial(n) - 1], sample])
+    rows = unrank_rows(n, ranks)
+    assert np.array_equal(rank_rows(rows), ranks)
+    assert [tuple(r) for r in rows[:20].tolist()] == [unrank(n, int(r)) for r in ranks[:20]]
+
+
+def test_unrank_rows_of_no_ranks_and_of_s_1():
+    assert unrank_rows(4, []).shape == (0, 4)
+    assert unrank_rows(4, np.array([], np.int64)).shape == (0, 4)
+    assert unrank_rows(1, [0]).tolist() == [[1]]
+
+
+@pytest.mark.parametrize(
+    "n, ranks, error, match",
+    [
+        (3, [0, 6], InputError, r"0\.\.6 leave 0\.\.5"),
+        (3, [-1], InputError, "the ranks of S_3"),
+        (12, [factorial(12)], InputError, "the ranks of S_12"),
+        (3, [1.0], InputError, "one integer per row"),
+        (3, [[0, 1]], InputError, "one integer per row"),
+        (0, [], InputError, "n must be >= 1"),
+        (13, [0], CapacityError, "n <= 12"),
+    ],
+)
+def test_unrank_rows_refuses_before_allocating(monkeypatch, n, ranks, error, match):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("unrank_rows allocated before refusing its input")
+
+    monkeypatch.setattr(np, "ones", no_allocation)
+    with pytest.raises(error, match=match):
+        unrank_rows(n, ranks)
 
 
 def test_rank_rows_rejects_ranks_beyond_int32():
