@@ -18,9 +18,9 @@ Exit status: 0 on success, 1 when ``verify`` finds a failure, 2 on bad
 input only: argparse's usage errors (including a ``--format`` the
 subcommand does not accept, see :data:`FORMATS`), :class:`InputError`
 (malformed permutation/word/partition text, an argument out of range, a
-seed given to a strategy that draws nothing, an ``--out`` path whose
-directory does not exist, that names a directory, or that names an
-existing file that is not a regular one, such as a FIFO or a device,
+seed given to a strategy that draws nothing, an ``--out`` path that is
+empty, whose directory does not exist, that names a directory, or that
+names an existing file that is not a regular one, such as a FIFO or a device,
 refused before any work) and :class:`CapacityError`;
 141 (128 + SIGPIPE) when the reader of standard output closes it early.
 Any other exception is a bug and propagates.  Output is byte-deterministic
@@ -332,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.out is not None:
+            if not args.out:
+                raise InputError("cannot write --out '': it names no file")
             if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
                 raise InputError(f"cannot write --out {args.out}: its directory does not exist")
             if os.path.isdir(args.out) or args.out.endswith(os.sep):

@@ -39,13 +39,14 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import factorial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .perms import Perm, as_perm, identity, place, place_inplace, placeable_values
+from .perms import Perm, _check_n, as_perm, identity, place, place_inplace, placeable_values
 from .successors import (
     DEFAULT_CAP,
     check_cap,
@@ -240,6 +241,12 @@ def _choose_leftmost(p: Sequence[int]) -> int:
     raise AssertionError("no out-of-place value in a non-identity state")
 
 
+def _random_choice(rng: random.Random, p: Sequence[int]) -> int:
+    """The one random rule, of runs and the Monte Carlo: uniform among the out-of-place values."""
+    candidates = placeable_values(p)
+    return candidates[rng.randrange(len(candidates))]
+
+
 _CHOOSERS: dict[str, Callable[[Sequence[int]], int]] = {
     SMALLEST_FIRST: _choose_smallest,
     LARGEST_FIRST: _choose_largest,
@@ -312,12 +319,7 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     if strategy == RANDOM:
         if seed is None:
             raise InputError("the random strategy requires an explicit seed")
-        rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
-
-        def choose(state: Sequence[int]) -> int:
-            candidates = placeable_values(state)
-            return candidates[rng.randrange(len(candidates))]
-
+        choose = partial(_random_choice, random.Random(seed & 0xFFFFFFFFFFFFFFFF))
     else:
         try:
             choose = _CHOOSERS[strategy]
@@ -328,8 +330,7 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
 
     p = as_perm(p)
     n = len(p)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_n(n)
     limit = (1 << (n - 1)) - 1
     state = array(_row_type(n), p)
     target = array(state.typecode, range(1, n + 1))
@@ -428,21 +429,21 @@ def min_placements(p: Perm, cap: int = DEFAULT_CAP) -> int:
         frontier = nxt
 
 
-def min_placements_table(n: int, cap: int = DEFAULT_CAP) -> bytearray:
-    """``min_placements`` for every permutation at once, indexed by rank: BFS
+def min_placements_table(n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+    """``min_placements`` of every permutation, a uint8 array by rank: BFS
     rounds from the identity along displacements, placements run backwards."""
     check_cap(n, cap)
     rounds = release_rounds(n, shortest=True)
     dist = np.empty(factorial(n), dtype=np.uint8)
     for depth, frontier in enumerate(rounds):
         dist[frontier] = depth
-    return bytearray(dist)
+    return dist
 
 
 def unique_worst_case_check(n: int) -> bool:
     """True iff the reversal is the only permutation needing n-1 placements."""
-    dist = min_placements_table(n)
-    return dist.count(n - 1) == 1 and dist[-1] == n - 1  # the reversal ranks last
+    dist = min_placements_table(n)  # the reversal ranks last
+    return np.count_nonzero(dist == n - 1) == 1 and int(dist[-1]) == n - 1
 
 
 def smallest_first_steps(p: Perm) -> int:
@@ -503,8 +504,7 @@ def random_homing_mean(n: int, trials: int, seed: int) -> RandomHomingEstimate:
     """Mean random-homing step count over uniform start states (seeded)."""
     if trials < 1:
         raise InputError("trials must be >= 1")
-    if n < 1:
-        raise InputError("n must be >= 1")
+    _check_n(n)
     total = 0
     worst = 0
     base = list(range(1, n + 1))
@@ -516,8 +516,7 @@ def random_homing_mean(n: int, trials: int, seed: int) -> RandomHomingEstimate:
         p = tuple(start)
         steps = 0
         while p != target:
-            candidates = placeable_values(p)
-            p = place(p, candidates[rng.randrange(len(candidates))])
+            p = place(p, _random_choice(rng, p))
             steps += 1
         total += steps
         if steps > worst:

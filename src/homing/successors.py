@@ -23,7 +23,8 @@ gives rows back the same way, as the transpose of the columns it decodes.
 eviction as a column: per home value v, the columns with v home,
 reordered once per target.  Its entries therefore come per home value,
 then per target position, then per row, and :func:`displacement_sources`
-pairs with them in that order.
+pairs with them in that order.  Ranks are int32, so ranking and
+unranking refuse n > 12 with a :class:`~homing.errors.CapacityError`.
 
 Every pass over S_n holds the n-column matrix of its states and a little
 more per state, and works through them in slices of at most ``_SLICE``
@@ -45,6 +46,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import CapacityError, CycleError, InputError
+from .perms import _check_n
 
 _MAX_RANK_N = 12  # 12! - 1 is the largest rank that fits in int32
 _SLICE = 1 << 15  # rows ranked or stepped per call in a pass over S_n
@@ -67,8 +69,7 @@ def check_cap(n: int, cap: int) -> None:
     shortest-sort table and 84 MB for the alternating-extremal step table.
     The per-state searches refuse a permutation longer than their cap,
     though they keep only the states they reach from it, and no table."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if n > cap:
         held = layer_bytes(n)
         size = f"{held / 1e6:,.0f} MB" if held >= 1e6 else f"{held:,} bytes"
@@ -90,8 +91,7 @@ def perm_matrix(n: int) -> np.ndarray:
     >>> perm_matrix(3).tolist()
     [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if n > _MAX_RANK_N:
         raise CapacityError(f"perm_matrix needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
     rows = np.zeros((1, 0), dtype=np.int8)
@@ -114,9 +114,6 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
     >>> rank_rows(perm_matrix(3)).tolist()
     [0, 1, 2, 3, 4, 5]
     """
-    n = rows.shape[1]
-    if n > _MAX_RANK_N:
-        raise ValueError(f"rank_rows needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
     return _rank_cols(rows.T)
 
 
@@ -124,8 +121,10 @@ def _rank_cols(cols: np.ndarray) -> np.ndarray:
     """The rank, as int32, of every column of an n x count matrix of
     permutations.  Each Lehmer digit, the count of later entries smaller
     than entry i, is summed in int8 and only then folded into the rank."""
-    cols = np.ascontiguousarray(cols)  # a row per position: the compares run unit-stride
     n, count = cols.shape
+    if n > _MAX_RANK_N:
+        raise CapacityError(f"ranking needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
+    cols = np.ascontiguousarray(cols)  # a row per position: the compares run unit-stride
     ranks = np.zeros(count, dtype=np.int32)
     digit = np.empty(count, dtype=np.int8)
     less = np.empty(count, dtype=np.int8)
@@ -151,8 +150,7 @@ def unrank_rows(n: int, ranks) -> np.ndarray:
     >>> unrank_rows(3, [0, 3, 5]).tolist()
     [[1, 2, 3], [2, 3, 1], [3, 2, 1]]
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _check_n(n)
     if n > _MAX_RANK_N:
         raise CapacityError(f"unrank_rows needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
     ranks = np.asarray(ranks)

@@ -83,7 +83,6 @@ from .perms import (
     placeable_values,
     rotation,
     swap_ends,
-    unrank,
 )
 from .strategies import (
     ALTERNATING_EXTREMAL,
@@ -162,8 +161,8 @@ def _text(signs: np.ndarray) -> str:
     return "".join("-0+"[s + 1] for s in signs.tolist())
 
 
-def _state(n: int, r: int) -> str:
-    return format_perm(unrank(n, int(r)))
+def _state(rows: np.ndarray, r: int) -> str:  # a counterexample's name
+    return format_perm(tuple(rows[r].tolist()))
 
 
 @cache
@@ -258,7 +257,7 @@ def check_extremes_placed_once(nmax: int) -> Cases:
         for s in strategies:
             bad = np.flatnonzero(extremes_evicted(n, s))
             if len(bad):
-                yield f"{s} on {_state(n, bad[0])} moves an extreme from home"
+                yield f"{s} on {_state(_signed(n)[0], bad[0])} moves an extreme from home"
             yield factorial(n)
 
 
@@ -392,7 +391,7 @@ def check_displacement_weight_increase(nmax: int) -> Cases:
         targets = displacement_ranks(starts)
         bad = np.flatnonzero(~away[targets] | (w[targets] <= w[sources]))
         if len(bad):
-            p, q = (format_perm(tuple(rows[r].tolist())) for r in (sources[bad[0]], targets[bad[0]]))
+            p, q = _state(rows, sources[bad[0]]), _state(rows, targets[bad[0]])
             yield f"displace {p} -> {q}: weight {w[sources[bad[0]]]} -> {w[targets[bad[0]]]}"
         yield len(targets)
 
@@ -407,7 +406,8 @@ def check_extremal_bound(nmax: int) -> Cases:
         for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
             bad = np.flatnonzero(step_counts(_steps(n, s), n - 1) > n - 1)
             if len(bad):
-                p, k = _state(n, bad[0]), step_counts(_steps(n, s), factorial(n))[bad[0]]
+                p = _state(_signed(n)[0], bad[0])
+                k = step_counts(_steps(n, s), factorial(n))[bad[0]]
                 yield f"{s} took {k} steps on {p}" if k <= factorial(n) else f"{s} never sorts {p}"
             yield factorial(n)
 
@@ -415,21 +415,22 @@ def check_extremal_bound(nmax: int) -> Cases:
 @_property("strategies/stage-monotone")
 def check_stage_monotone(nmax: int) -> Cases:
     for n in range(1, min(nmax, 9) + 1):
-        level = stage_rows(_signed(n)[0])
+        rows = _signed(n)[0]
+        level = stage_rows(rows)
         for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
             bad = np.flatnonzero(level[_steps(n, s)] < level)  # every step of every run
             if len(bad):
-                yield f"{s} lowered stage on {_state(n, bad[0])}"
+                yield f"{s} lowered stage on {_state(rows, bad[0])}"
             yield len(level)
 
 
 @_property("strategies/lis-lower-bound")
 def check_lis_lower_bound(nmax: int) -> Cases:
     for n in range(1, min(nmax, 9) + 1):
-        d = np.frombuffer(min_placements_table(n), np.uint8)
-        bad = np.flatnonzero((d < n - lis_rows(_signed(n)[0])) | (d > n - 1))
+        rows, d = _signed(n)[0], min_placements_table(n)
+        bad = np.flatnonzero((d < n - lis_rows(rows)) | (d > n - 1))
         if len(bad):
-            yield f"min_placements({_state(n, bad[0])}) = {d[bad[0]]}"
+            yield f"min_placements({_state(rows, bad[0])}) = {d[bad[0]]}"
         yield len(d)
 
 
@@ -454,7 +455,7 @@ def check_stage_advance_premise(nmax: int) -> Cases:
         few = raisers < np.where((rows[:, 0] != 1) & (rows[:, -1] != n), 2, 1)
         bad = np.flatnonzero(few | (raisers * (n - level) < 2 * away))
         if len(bad):
-            p, r = _state(n, bad[0] + 1), raisers[bad[0]]
+            p, r = _state(rows, bad[0]), raisers[bad[0]]
             yield f"{p} has only {r} stage raisers" if few[bad[0]] else (
                 f"{p}: advance probability below 2/(n-k)"
             )
@@ -539,8 +540,7 @@ def check_weight_certificate(nmax: int) -> Cases:
         slack = (1 << (n - 2)) - 1 - w
         bad = np.flatnonzero(away & (run > slack))
         if len(bad):
-            p = format_perm(tuple(rows[bad[0]].tolist()))
-            yield f"{p} sustains {run[bad[0]]} > {slack[bad[0]]} evictions"
+            yield f"{_state(rows, bad[0])} sustains {run[bad[0]]} > {slack[bad[0]]} evictions"
         yield int(away.sum())
 
 
@@ -554,7 +554,7 @@ def check_mn_code_shape(nmax: int) -> Cases:
         block = (signs != 0).all(axis=1) & (np.diff(signs, axis=1) <= 0).all(axis=1)
         bad = np.flatnonzero(members & ~block)
         if len(bad):
-            yield f"{format_perm(tuple(rows[bad[0]].tolist()))} in worst set, code {_text(signs[bad[0]])}"
+            yield f"{_state(rows, bad[0])} in worst set, code {_text(signs[bad[0]])}"
         yield int(members.sum())
         converse_broken |= bool((block & ~members).any())
     if not converse_broken:

@@ -336,6 +336,21 @@ def test_out_into_a_missing_directory_exits_2_before_the_handler(tmp_path, monke
     assert ".homing-" not in err and list(tmp_path.iterdir()) == []
 
 
+def test_out_empty_exits_2_before_the_handler(tmp_path, monkeypatch, capsys):
+    """An empty path resolves to the working directory, whose parent would
+    get the temp file and the rename would fail."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "height", not_reached)
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    code, out, err = run_cli(capsys, "height", "--perm", "2,1", "--out", "")
+    assert code == 2 and out == "" and "--out '': it names no file" in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["cwd"]
+
+
 @pytest.mark.parametrize("exists", [True, False])
 def test_out_naming_a_directory_exits_2_before_the_handler(tmp_path, monkeypatch, capsys, exists):
     def not_reached(*args, **kwargs):

@@ -138,6 +138,10 @@ def test_deterministic_strategy_refuses_seed(strategy):
         run_strategy(reverse(4), strategy, seed=99)
 
 
+def test_random_strategy_draws_are_pinned():
+    assert run_strategy((5, 4, 3, 2, 1), RANDOM, seed=99).moves == (1, 2, 5, 4)
+
+
 def test_random_strategy_reproducible():
     a = run_strategy(rotation(7), RANDOM, seed=12345)
     b = run_strategy(rotation(7), RANDOM, seed=12345)
@@ -339,6 +343,7 @@ def test_min_placements_examples():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_min_placements_matches_bfs_oracle(n):
     table = min_placements_table(n)
+    assert isinstance(table, np.ndarray) and table.dtype == np.uint8
     for p in all_perms(n):
         d = bfs_oracle(p)
         assert min_placements(p) == d
@@ -423,3 +428,15 @@ def test_random_homing_validation():
         random_homing_mean(4, 0, seed=1)
     with pytest.raises(ValueError):
         random_homing_mean(0, 5, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n, mean, max_steps",
+    [(8, Fraction(10587, 1250), 27), (12, Fraction(163123, 10000), 43)],
+    ids=["n=8", "n=12"],
+)
+def test_random_homing_draws_are_pinned(n, mean, max_steps):
+    """The Monte Carlo and the random strategy draw with one rule; these
+    figures pin both to the draws the rule has always made."""
+    est = random_homing_mean(n, 10000, 20240917)
+    assert (est.mean, est.max_steps) == (mean, max_steps)

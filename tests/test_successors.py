@@ -20,6 +20,7 @@ from homing import (
     strategies,
     successors,
     unrank,
+    verify,
     weight,
 )
 from homing.heights import build_height_table
@@ -202,8 +203,14 @@ def test_unrank_rows_refuses_before_allocating(monkeypatch, n, ranks, error, mat
 
 
 def test_rank_rows_rejects_ranks_beyond_int32():
-    with pytest.raises(ValueError, match="int32"):
+    with pytest.raises(CapacityError, match="int32"):
         rank_rows(np.arange(1, 14, dtype=np.int8).reshape(1, 13))
+
+
+def test_displacement_ranks_rejects_ranks_beyond_int32():
+    """The evictions of the identity of 1..13 would wrap int32 silently."""
+    with pytest.raises(CapacityError, match="n <= 12"):
+        displacement_ranks(np.arange(1, 14, dtype=np.int8).reshape(1, 13))
 
 
 def test_perm_matrix_rejects_empty_n():
@@ -321,6 +328,11 @@ def test_tables_take_their_rounds_from_release_rounds(module):
     """One round loop: the table modules neither build the matrix nor rank
     evictions themselves."""
     assert not {"perm_matrix", "displacement_ranks"} & vars(module).keys()
+
+
+def test_verify_names_states_from_rows_not_by_unranking():
+    """A counterexample is a row of a matrix the check already holds."""
+    assert "unrank" not in vars(verify)
 
 
 def test_capacity_estimates_below_a_megabyte_are_in_bytes():

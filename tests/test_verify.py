@@ -126,8 +126,8 @@ def slow_step_table(n, strategy):
          "smallest-first took 3 steps on 2,3,1"),
         (verify.check_stage_monotone, "_steps", wrong_step_table,
          "smallest-first lowered stage on 1,3,2"),
-        (verify.check_lis_lower_bound, "min_placements_table", lambda n: bytearray(factorial(n)),
-         "min_placements(2,1) = 0"),
+        (verify.check_lis_lower_bound, "min_placements_table",
+         lambda n: np.zeros(factorial(n), np.uint8), "min_placements(2,1) = 0"),
         (verify.check_stage_advance_premise, "place_rows", lambda rows, values: rows.copy(),
          "2,1 has only 0 stage raisers"),
     ],
