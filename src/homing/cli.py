@@ -85,12 +85,17 @@ FORMATS = {
 
 def _write_output(chunks: Iterable[str], out: str | None) -> None:
     """Write text chunks to stdout, or atomically to ``out`` one chunk at a
-    time."""
+    time, as UTF-8."""
+    _write_bytes((chunk.encode() for chunk in chunks), out)
+
+
+def _write_bytes(chunks: Iterable[bytes], out: str | None) -> None:
     if out is None:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()  # a closed pipe raises here, in main, not at interpreter exit
+        sys.stdout.flush()  # text a caller printed before main() comes first
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()  # a closed pipe raises here, in main, not at interpreter exit
     else:
-        write_atomic(out, (chunk.encode() for chunk in chunks))
+        write_atomic(out, chunks)
 
 
 def _listing(items: Iterable[str], fmt: str) -> Iterator[str]:
@@ -120,7 +125,7 @@ def _scalar(value, label: str, fmt: str) -> str:
 
 def _cmd_trace(args) -> int:
     trace = run_strategy(parse_perm(args.perm), args.strategy, seed=args.seed)
-    _write_output(trace.text_blocks(), args.out)
+    _write_bytes(trace._text(), args.out)
     return 0
 
 

@@ -14,6 +14,14 @@ reversed binary, so the weight is a double-ended binary representation.
 
 Weights are plain Python integers, so no code length is ever capped by
 machine-word width.
+
+The weight kernel of :mod:`homing.successors`, ``code_weights``, weighs
+many codes at once by a closed form of this recursion instead of running
+it: a '+' at j comes off before a '-' at i > j exactly when the non-'+'
+symbols before j are fewer than the non-'-' symbols after i, and each
+symbol's reach falls by one for each symbol of the other sign that came
+off before it on its side.  The tests check that rule on
+:func:`strip_trace` and the kernel against :func:`weight`.
 """
 from __future__ import annotations
 

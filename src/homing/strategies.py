@@ -23,7 +23,8 @@ keeps: n bytes per step, or 2n for 256 <= n < 65,536.  Its codes, weights
 and text are computed per block of up to ``_BLOCK`` steps of that buffer,
 read as a matrix: one scatter gives the positions, the weight kernel of
 :mod:`homing.successors` the codes and weights (:func:`code_signs`,
-:func:`code_weights`), and byte tables the text.
+:func:`code_weights`), and byte tables the text, which the CLI writes
+as it comes, with no round trip through ``str``.
 :func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
 definition, and the tests compare the blocks with them.
 
@@ -72,7 +73,6 @@ STRATEGIES = (
 )
 
 _BLOCK = 1 << 13  # trace steps per block of codes, weights and text
-_CODE_SYMBOLS = np.frombuffer(b"-0+", np.uint8)  # ASCII symbol of each sign, at sign + 1
 
 
 class TraceStep(NamedTuple):
@@ -130,6 +130,11 @@ class Trace:
     def text_blocks(self) -> Iterator[str]:
         """The lines of :meth:`lines`, each ending in a newline, joined into
         one string per block of up to ``_BLOCK`` steps."""
+        return (chunk.decode() for chunk in self._text())
+
+    def _text(self) -> Iterator[bytes]:
+        """:meth:`text_blocks` as ASCII bytes, which the CLI writes as they
+        are."""
         n = len(self.initial)
         # every value's text followed by "," or a tab, NUL-padded to a
         # power-of-two width so that one gather copies a whole cell
@@ -158,7 +163,7 @@ class Trace:
                 ),
                 axis=1,
             )
-            yield cells.tobytes().translate(None, b"\0").decode()
+            yield cells.tobytes().translate(None, b"\0")
 
     def _blocks(self) -> Iterator[_Block]:
         n = len(self.initial)
@@ -168,12 +173,13 @@ class Trace:
             # row 0 is the state before the block, rows 1..m the states after each move
             rows = all_rows[start : start + _BLOCK + 1]
             m = len(rows) - 1
-            pos = np.empty_like(rows)
-            pos[np.arange(m + 1)[:, None], rows - 1] = np.arange(1, n + 1, dtype=dtype)
+            pos = np.empty(rows.size, dtype)
+            pos[np.arange(0, rows.size, n)[:, None] - 1 + rows] = np.arange(1, n + 1, dtype=dtype)
+            pos = pos.reshape(-1, n)
             values = np.array(self.moves[start : start + m], dtype)
             sources = pos[np.arange(m), values - 1]
             signs = code_signs(pos[1:])
-            code = _CODE_SYMBOLS[signs + 1]
+            code = (48 - signs - 4 * signs * signs).view(np.uint8)  # ASCII '-', '0', '+'
             yield _Block(start + 1, values, sources, rows[1:], code, code_weights(signs))
 
 

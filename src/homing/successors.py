@@ -23,8 +23,9 @@ gives rows back the same way, as the transpose of the columns it decodes.
 eviction as a column: per home value v, the columns with v home,
 reordered once per target.  Its entries therefore come per home value,
 then per target position, then per row, and :func:`displacement_sources`
-pairs with them in that order.  Ranks are int32, so ranking and
-unranking refuse n > 12 with a :class:`~homing.errors.CapacityError`.
+pairs with them in that order.  Ranks are int32, so :func:`perm_matrix`,
+ranking, unranking and :func:`displacement_ranks` refuse n > 12 on entry,
+before they allocate, with a :class:`~homing.errors.CapacityError`.
 
 Every pass over S_n holds the n-column matrix of its states and a little
 more per state, and works through them in slices of at most ``_SLICE``
@@ -52,6 +53,12 @@ _MAX_RANK_N = 12  # 12! - 1 is the largest rank that fits in int32
 _SLICE = 1 << 15  # rows ranked or stepped per call in a pass over S_n
 
 DEFAULT_CAP = 10  # the largest n every exhaustive pass and search accepts by default
+
+
+def _check_int32_ranks(n: int, what: str) -> None:
+    """Refuse n > 12, whose ranks leave int32, before ``what`` allocates."""
+    if n > _MAX_RANK_N:
+        raise CapacityError(f"{what} needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
 
 
 def layer_bytes(n: int) -> int:
@@ -92,8 +99,7 @@ def perm_matrix(n: int) -> np.ndarray:
     [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
     _check_n(n)
-    if n > _MAX_RANK_N:
-        raise CapacityError(f"perm_matrix needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
+    _check_int32_ranks(n, "perm_matrix")
     rows = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n + 1):
         block = len(rows)
@@ -114,6 +120,7 @@ def rank_rows(rows: np.ndarray) -> np.ndarray:
     >>> rank_rows(perm_matrix(3)).tolist()
     [0, 1, 2, 3, 4, 5]
     """
+    _check_int32_ranks(rows.shape[1], "rank_rows")
     return _rank_cols(rows.T)
 
 
@@ -122,8 +129,6 @@ def _rank_cols(cols: np.ndarray) -> np.ndarray:
     permutations.  Each Lehmer digit, the count of later entries smaller
     than entry i, is summed in int8 and only then folded into the rank."""
     n, count = cols.shape
-    if n > _MAX_RANK_N:
-        raise CapacityError(f"ranking needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
     cols = np.ascontiguousarray(cols)  # a row per position: the compares run unit-stride
     ranks = np.zeros(count, dtype=np.int32)
     digit = np.empty(count, dtype=np.int8)
@@ -151,8 +156,7 @@ def unrank_rows(n: int, ranks) -> np.ndarray:
     [[1, 2, 3], [2, 3, 1], [3, 2, 1]]
     """
     _check_n(n)
-    if n > _MAX_RANK_N:
-        raise CapacityError(f"unrank_rows needs n <= {_MAX_RANK_N} for int32 ranks, got {n}")
+    _check_int32_ranks(n, "unrank_rows")
     ranks = np.asarray(ranks)
     if ranks.ndim != 1 or (ranks.size and ranks.dtype.kind not in "iu"):
         raise InputError(f"ranks must be one integer per row, got {ranks.dtype} {ranks.shape}")
@@ -196,6 +200,7 @@ def displacement_ranks(rows: np.ndarray) -> np.ndarray:
     [1, 1]
     """
     n = rows.shape[1]
+    _check_int32_ranks(n, "displacement_ranks")
     cols = rows.T
     moved = np.concatenate(
         [
@@ -364,61 +369,53 @@ def code_signs(positions: np.ndarray) -> np.ndarray:
 
 def code_weights(signs: np.ndarray) -> np.ndarray:
     """The weight of every row of a matrix of codes (-1, 0, 1 for '-', '0',
-    '+'), by the strip recursion of :func:`homing.codes.weight` run on all
-    rows at once, ties to the '-'.
+    '+'): :func:`homing.codes.weight`, ties to the '-', in closed form.
 
-    The recursion strips only the rightmost '-' or the leftmost '+', so the
-    minuses left in a code are its first ones and the pluses left its last
-    ones: a code's state is how many of each are gone, ``a`` and ``b``.  In
-    the unstripped code, the next '-', at index i, has reach
-    i - min(b, pluses before i) = max(i - b, i - pluses before i), and the
-    next '+', at index j, has reach (k-1-j) - min(a, minuses after j).
-    Each round strips one symbol from every code that has one left.  A
-    weight is below 2^k, so it fits int64 up to k = 63 and is a Python int
-    beyond.
+    In a code of length k, let Z(j) count the non-'+' symbols before index j
+    and Y(i) the non-'-' symbols after index i.  Then
+
+        w = sum over '-' at i of 2^(i - #{'+' at j < i : Z(j) < Y(i)})
+          + sum over '+' at j of 2^(k-1-j - #{'-' at i > j : Y(i) <= Z(j)}).
+
+    Why: the recursion strips the rightmost '-' or the leftmost '+', so a
+    '-' at i loses reach only to the '+'s at j < i stripped before it, and
+    a '+' at j only to the '-'s at i > j.  With x '-'s and y '+'s gone, the
+    leftmost '+' at l and the rightmost '-' at r > l reach k-1-l-x and r-y;
+    as r + x = k-1-Y(r) and l - y = Z(l), the '-' goes first iff
+    Y(r) <= Z(l).  When the first of a '+' at j and a '-' at i > j goes,
+    l <= j < i <= r with one of them a candidate, and Z rises and Y falls
+    with the index, so the '+' went first iff Z(j) < Y(i).
+
+    One comparison per offset d = 1..k-1 decides the pairs (j, j + d) of
+    every code at once.  A weight is below 2^k, so it fits int64 up to
+    k = 63 and is a Python int beyond.
+
+    >>> code_weights(np.array([[1, 0, 1], [1, -1, 0], [-1, 1, 0], [1, -1, -1]], np.int8)).tolist()
+    [5, 5, 3, 7]
     """
     m, k = signs.shape
     by_index = np.ascontiguousarray(signs.T)  # row c: symbol c of every code
-    column = np.arange(m)
-    minus_total = (by_index < 0).sum(axis=0)
-    # Each code's candidates in stripping order, one table row per rank:
-    # row t of the '-' tables holds its t-th '-' (row 0: none left), row t of
-    # the '+' tables its (t+1)-th '+' (past the last: none left).  The
-    # "_free" tables hold the reach once every symbol that can shorten it is
-    # gone.  "None left" reads a negative reach.  Entries lie in -k-1..k.
-    small = np.min_scalar_type(-k - 1)
-    minus_at = np.full((k + 1, m), -1, small)
-    minus_free = np.full((k + 1, m), -1, small)
-    plus_at = np.full((k + 1, m), -1, small)
-    plus_free = np.full((k + 1, m), -1, small)
-    minuses = np.zeros(m, np.intp)
-    pluses = np.zeros(m, np.intp)
-    for i in range(k):
-        r = np.flatnonzero(by_index[i] < 0)
-        t = minuses[r] + 1
-        minus_at[t, r] = i
-        minus_free[t, r] = i - pluses[r]
-        minuses[r] = t
-        r = np.flatnonzero(by_index[i] > 0)
-        t = pluses[r]
-        plus_at[t, r] = k - 1 - i
-        plus_free[t, r] = k - 1 - i - (minus_total[r] - minuses[r])
-        pluses[r] = t + 1
-    minus_at, minus_free = minus_at.ravel(), minus_free.ravel()
-    plus_at, plus_free = plus_at.ravel(), plus_free.ravel()
+    not_plus, not_minus = by_index <= 0, by_index >= 0
+    small = np.min_scalar_type(k)
+    before = np.zeros((k, m), small)  # Z
+    after = np.zeros((k, m), small)  # Y
+    for c in range(1, k):  # a running sum: np.cumsum down the rows is ~15x slower
+        np.add(before[c - 1], not_plus[c - 1], out=before[c])
+        np.add(after[k - c], not_minus[k - c], out=after[k - c - 1])
+    # a '+' at j reaches k-1-j less every '-' after it, Y(j), plus one per
+    # '-' it is stripped before; a '-' at i reaches i less the '+'s stripped first
+    reach = np.where(not_plus, np.arange(k, dtype=small)[:, None], after)
+    np.copyto(before, k, where=not_plus)  # so Z < Y holds only for a '+' before a '-'
+    np.copyto(after, 0, where=not_minus)
+    plus_first = np.empty((k, m), bool)
+    step = plus_first.view(np.uint8)
+    for d in range(1, k):
+        np.less(before[:-d], after[d:], out=plus_first[d:])
+        reach[d:] -= step[d:]
+        reach[:-d] += step[d:]
     dtype = np.int64 if k <= 63 else object
     total = np.zeros(m, dtype)
-    a = np.zeros(m, np.intp)
-    b = np.zeros(m, np.intp)
-    for _ in range(int((minuses + pluses).max(initial=0))):
-        at = (minuses - a) * m + column
-        reach_minus = np.maximum(minus_at[at] - b, minus_free[at])
-        at = b * m + column
-        reach_plus = np.maximum(plus_at[at] - a, plus_free[at])
-        reach = np.maximum(reach_minus, reach_plus)
-        live = reach >= 0
-        strip_minus = live & (reach_minus >= reach_plus)
-        total += live.astype(dtype) << np.maximum(reach, 0).astype(dtype)
-        a += strip_minus
-        b += live ^ strip_minus
+    live = by_index != 0
+    for c in range(k):
+        total += np.left_shift(live[c], reach[c], dtype=dtype)
     return total

@@ -302,14 +302,14 @@ class Interrupted(BaseException):
 def test_interrupted_out_leaves_the_old_file(tmp_path, monkeypatch):
     out_file = tmp_path / "trace.txt"
     out_file.write_text("old\n")
-    whole = Trace.text_blocks
+    whole = Trace._text  # the byte blocks the handler writes
 
     def cut(self):
         blocks = whole(self)
         yield next(blocks)
         raise Interrupted
 
-    monkeypatch.setattr(Trace, "text_blocks", cut)
+    monkeypatch.setattr(Trace, "_text", cut)
     with pytest.raises(Interrupted):
         main(["trace", "--perm", "2,3,4,5,1", "--strategy", "leftmost-not-home", "--out", str(out_file)])
     assert out_file.read_text() == "old\n"

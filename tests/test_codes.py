@@ -112,6 +112,35 @@ def test_weight_arbitrary_precision():
     assert weight("-" * 70) == (1 << 70) - 1
 
 
+# -- the closed form of the weight kernel, against the recursion -------------------
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_pair_rule_orders_every_strip(k):
+    """The rule ``code_weights`` computes, checked on ``strip_trace`` alone:
+    a '+' at j comes off before a '-' at i > j iff Z(j) < Y(i), where Z(j)
+    counts the non-'+' symbols before j and Y(i) the non-'-' symbols after
+    i, and each symbol's exponent is its index, or k-1 less it for a '+',
+    less the symbols of the other sign that came off first on its side."""
+    for code in all_codes(k):
+        left = list(range(k))  # the original index of each symbol still in the code
+        order, exponent = {}, {}
+        for t, step in enumerate(strip_trace(code)):
+            c = left.pop(step.position - 1)
+            order[c], exponent[c] = t, step.exponent
+        z = [j - code[:j].count("+") for j in range(k)]
+        y = [k - 1 - i - code[i + 1 :].count("-") for i in range(k)]
+        plus = [j for j in range(k) if code[j] == "+"]
+        minus = [i for i in range(k) if code[i] == "-"]
+        for j in plus:
+            for i in minus:
+                if j < i:
+                    assert (order[j] < order[i]) == (z[j] < y[i]), (code, j, i)
+        for i in minus:
+            assert exponent[i] == i - sum(z[j] < y[i] for j in plus if j < i), (code, i)
+        for j in plus:
+            assert exponent[j] == k - 1 - j - sum(y[i] <= z[j] for i in minus if i > j), (code, j)
+
+
 # -- the weight kernel, against weight() ------------------------------------------
 
 def kernel_weights(codes, k):

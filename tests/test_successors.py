@@ -1,4 +1,5 @@
 """The successor layer, checked against the tuple-level moves and ranking."""
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -208,9 +209,19 @@ def test_rank_rows_rejects_ranks_beyond_int32():
 
 
 def test_displacement_ranks_rejects_ranks_beyond_int32():
-    """The evictions of the identity of 1..13 would wrap int32 silently."""
-    with pytest.raises(CapacityError, match="n <= 12"):
-        displacement_ranks(np.arange(1, 14, dtype=np.int8).reshape(1, 13))
+    """The evictions of the identity of 1..13 would wrap int32 silently, and
+    for 100,000 rows they take 405 MB: the refusal comes before any."""
+    rows = np.tile(np.arange(1, 14, dtype=np.int8), (100_000, 1))
+    orders = successors._eviction_orders.cache_info().misses
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="n <= 12"):
+            displacement_ranks(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert successors._eviction_orders.cache_info().misses == orders
 
 
 def test_perm_matrix_rejects_empty_n():
