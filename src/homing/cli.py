@@ -39,7 +39,7 @@ from dataclasses import asdict
 from typing import Iterable, Iterator
 
 from .atomic import write_atomic
-from .counting import MAX_NMAX, growth_csv, growth_table, worst_case_count
+from .counting import _check_table_n, growth_csv, growth_table, worst_case_count
 from .errors import CapacityError, InputError
 from .firings import (
     canonical_words,
@@ -156,8 +156,7 @@ def _cmd_enum_mn(args) -> int:
 
 
 def _cmd_count_mn(args) -> int:
-    if not 2 <= args.nmax <= MAX_NMAX:
-        raise InputError(f"nmax must be in 2..{MAX_NMAX}, got {args.nmax}")
+    _check_table_n("nmax", args.nmax)
     rows = [(n, worst_case_count(n)) for n in range(2, args.nmax + 1)]
     if args.format == "json":
         text = json.dumps({str(n): c for n, c in rows}) + "\n"
@@ -168,8 +167,7 @@ def _cmd_count_mn(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    if not 2 <= args.n <= MAX_NMAX:
-        raise InputError(f"n must be in 2..{MAX_NMAX}, got {args.n}")
+    _check_table_n("n", args.n)
     words = map(format_word, canonical_words(args.n))
     if args.format == "json":
         words = map(json.dumps, words)

@@ -131,14 +131,19 @@ def nth_root(value: int, n: int) -> float:
     return exp(log(value) / n)
 
 
+def _check_table_n(name: str, value: int) -> None:
+    """Refuse a growth or count table size ``name`` outside 2..MAX_NMAX."""
+    if not 2 <= value <= MAX_NMAX:
+        raise InputError(f"{name} must be in 2..{MAX_NMAX}, got {value}")
+
+
 def growth_table(nmax: int) -> list[GrowthRow]:
     """Rows (n, ((n-1)!)^(1/n), count^(1/n), B_(n-1)^(1/n)) for n = 2..nmax.
 
     Every row satisfies bell_root <= mn_root <= factorial_root: the
     worst-case count sits between the Bell numbers and the factorials.
     """
-    if not 2 <= nmax <= MAX_NMAX:
-        raise InputError(f"nmax must be in 2..{MAX_NMAX}, got {nmax}")
+    _check_table_n("nmax", nmax)
     rows = []
     for n in range(2, nmax + 1):
         rows.append(

@@ -187,6 +187,11 @@ def _apply_counted(p: Perm, lefts: int, rights: int, letter: FiringLetter) -> Pe
     return _fire(p, (rights, len(p) - 2 - lefts - rights, lefts), letter)
 
 
+def _check_word_n(n: int) -> None:
+    if n < 2:
+        raise InputError(f"words need n >= 2, got {n}")
+
+
 def apply_word(word: FiringWord, n: int) -> Perm:
     """Run a full schedule of n-2 firings from the gateway state swap_ends(n).
 
@@ -194,8 +199,7 @@ def apply_word(word: FiringWord, n: int) -> Perm:
     conditions of :func:`check_word` refuse raises :class:`WordError` when it
     is fired.
     """
-    if n < 2:
-        raise InputError(f"words need n >= 2, got {n}")
+    _check_word_n(n)
     if len(word) != n - 2:
         raise WordError(f"word length {len(word)} does not match n-2 = {n - 2}")
     p = swap_ends(n)
@@ -315,8 +319,7 @@ def canonical_words(n: int) -> Iterator[FiringWord]:
     There are exactly as many as there are worst-case permutations, and
     :func:`apply_word` maps them bijectively onto that set.
     """
-    if n < 2:
-        raise InputError(f"words need n >= 2, got {n}")
+    _check_word_n(n)
     return _words(n - 2, _canonical)
 
 
@@ -327,8 +330,7 @@ def walk(n: int, keep=_canonical) -> Iterator[tuple[FiringWord, Perm]]:
     its parent's.  Parents come first, words of n-2 letters in
     :func:`canonical_words` order, and only one branch's siblings are held.
     """
-    if n < 2:
-        raise InputError(f"words need n >= 2, got {n}")
+    _check_word_n(n)
     stack = [((), swap_ends(n), 0, 0)]
     while stack:
         word, p, lefts, rights = stack.pop()

@@ -13,20 +13,22 @@ the splice, and so on).  Exhaustive passes read the library's own layers:
 the weight kernel, the Kahn height table, the strategy step tables
 (:func:`homing.strategies.step_table`) and :func:`homing.firings.walk`.
 
-Each check is written as a generator that yields once per case: ``None``
-when the case holds, or a description of the counterexample, which ends
-the check.  A check that asserts on a whole array at once yields the
-number of cases the array held instead (0 adds none).  :func:`_property`
-turns it into a ``Check`` that returns a :class:`PropertyResult` carrying
-the number of cases.  A library error raised inside a check fails that
-property, and the result names the error.
+Each check is written as a generator over one size that yields once per
+case: ``None`` when the case holds, or a description of the
+counterexample, which ends the check.  A check that asserts on a whole
+array at once yields the number of cases the array held instead (0 adds
+none).  :func:`_property` turns it into a ``Check`` that returns a
+:class:`PropertyResult` carrying the number of cases.  A library error
+raised inside a check fails that property, and the result names the error.
 
-``nmax`` caps the permutation sizes and code lengths explored; each
-property also carries its own natural ceiling (n <= 9 for the strategy
-checks, n <= 10 for the maximum height), so ``nmax=7`` keeps every
-suite comfortably under a few seconds while still covering thousands to
-millions of states.  The library's default cap covers every ceiling, so
-the checks take no cap of their own.
+Each property's sizes -- permutation sizes n, code lengths k or word
+lengths -- are declared once, in its :func:`_property` line, up to its own
+natural ceiling (n <= 9 for the strategy checks, n <= 10 for the maximum
+height).  ``nmax`` caps them, so ``nmax=7`` keeps every suite comfortably
+under a few seconds while still covering thousands to millions of states,
+and a property whose sizes all lie above ``nmax`` has no case to check.
+The library's default cap covers every ceiling, so the checks take no cap
+of their own.
 
 The inputs the checks share per n -- the height table of S_n, the rows of
 S_n with their code signs and weights, the step tables of the four
@@ -118,18 +120,20 @@ Check = Callable[[int], PropertyResult]
 Cases = Iterator[Union[None, str, int]]
 
 
-def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]], Check]:
-    """Run a case generator to its end or to its first counterexample.  An
-    int yield counts as that many cases.  A generator that yields no case
+def _property(name: str, sizes: range, detail: str = "") -> Callable[[Callable[[int], Cases]], Check]:
+    """Run a case generator once per size in ``sizes`` up to ``nmax``, the
+    sizes' cases in one chain, to its end or to its first counterexample.
+    An int yield counts as that many cases.  A chain that yields no case
     asserted nothing, which is a failure, and so is one that raises a
-    :class:`HomingError`, which the result names."""
+    :class:`HomingError`, which the result names.  The check keeps
+    ``sizes`` as its ``sizes`` attribute."""
 
     def wrap(cases_of: Callable[[int], Cases]) -> Check:
         @wraps(cases_of)
         def check(nmax: int) -> PropertyResult:
             cases = 0
             try:
-                for outcome in cases_of(nmax):
+                for outcome in itertools.chain.from_iterable(cases_of(n) for n in sizes if n <= nmax):
                     if isinstance(outcome, str):
                         return PropertyResult(name, False, outcome, cases)
                     cases += 1 if outcome is None else outcome
@@ -139,6 +143,7 @@ def _property(name: str, detail: str = "") -> Callable[[Callable[[int], Cases]],
                 return PropertyResult(name, False, f"no case checked at nmax={nmax}", 0)
             return PropertyResult(name, True, detail, cases)
 
+        check.sizes = sizes
         return check
 
     return wrap
@@ -212,32 +217,30 @@ def _steps(n: int, strategy: str) -> np.ndarray:
 # perm-core
 # ---------------------------------------------------------------------------
 
-@_property("perm-core/placement-semantics")
-def check_placement_semantics(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 6) + 1):
-        for p in all_perms(n):
-            for v in placeable_values(p):
-                q = place(p, v)
-                if sorted(q) != list(range(1, n + 1)) or q[v - 1] != v:
-                    yield f"place({format_perm(p)}, {v}) = {format_perm(q)}"
-                if [x for x in q if x != v] != [x for x in p if x != v]:
-                    yield f"relative order broken: {format_perm(p)} place {v}"
-                yield None
+@_property("perm-core/placement-semantics", range(2, 7))
+def check_placement_semantics(n: int) -> Cases:
+    for p in all_perms(n):
+        for v in placeable_values(p):
+            q = place(p, v)
+            if sorted(q) != list(range(1, n + 1)) or q[v - 1] != v:
+                yield f"place({format_perm(p)}, {v}) = {format_perm(q)}"
+            if [x for x in q if x != v] != [x for x in p if x != v]:
+                yield f"relative order broken: {format_perm(p)} place {v}"
+            yield None
 
 
-@_property("perm-core/inversion")
-def check_inversion(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 6) + 1):
-        for p in all_perms(n):
-            for move, q in displacement_successors(p):
-                yield None if place(q, move.value) == p else (
-                    f"displace {move} on {format_perm(p)} not undone"
-                )
-            for v in placeable_values(p):
-                q = place(p, v)
-                yield None if displace(q, v, p.index(v) + 1) == p else (
-                    f"place {v} on {format_perm(p)} not undone"
-                )
+@_property("perm-core/inversion", range(2, 7))
+def check_inversion(n: int) -> Cases:
+    for p in all_perms(n):
+        for move, q in displacement_successors(p):
+            yield None if place(q, move.value) == p else (
+                f"displace {move} on {format_perm(p)} not undone"
+            )
+        for v in placeable_values(p):
+            q = place(p, v)
+            yield None if displace(q, v, p.index(v) + 1) == p else (
+                f"place {v} on {format_perm(p)} not undone"
+            )
 
 
 def extremes_evicted(n: int, strategy: str) -> np.ndarray:
@@ -250,68 +253,62 @@ def extremes_evicted(n: int, strategy: str) -> np.ndarray:
     return ((rows[:, 0] == 1) & (after[:, 0] != 1)) | ((rows[:, -1] == n) & (after[:, -1] != n))
 
 
-@_property("perm-core/extremes-placed-once")
-def check_extremes_placed_once(nmax: int) -> Cases:
-    strategies = (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL, LEFTMOST_NOT_HOME)
-    for n in range(2, min(nmax, 6) + 1):
-        for s in strategies:
-            bad = np.flatnonzero(extremes_evicted(n, s))
-            if len(bad):
-                yield f"{s} on {_state(_signed(n)[0], bad[0])} moves an extreme from home"
-            yield factorial(n)
+@_property("perm-core/extremes-placed-once", range(2, 7))
+def check_extremes_placed_once(n: int) -> Cases:
+    for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL, LEFTMOST_NOT_HOME):
+        bad = np.flatnonzero(extremes_evicted(n, s))
+        if len(bad):
+            yield f"{s} on {_state(_signed(n)[0], bad[0])} moves an extreme from home"
+        yield factorial(n)
 
 
-@_property("perm-core/acyclicity")
-def check_acyclicity(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 7) + 1):
-        _table(n)  # a cycle raises CycleError, which fails the property
-        yield None
+@_property("perm-core/acyclicity", range(1, 8))
+def check_acyclicity(n: int) -> Cases:
+    _table(n)  # a cycle raises CycleError, which fails the property
+    yield None
 
 
 # ---------------------------------------------------------------------------
 # code-weight
 # ---------------------------------------------------------------------------
 
-@_property("code-weight/range")
-def check_weight_range(nmax: int) -> Cases:
-    for k in range(0, min(nmax, 12) + 1):
-        signs, w = _code_table(k)
-        top = (1 << k) - 1
-        bad = np.flatnonzero((w < 0) | (w > top))
+@_property("code-weight/range", range(0, 13))
+def check_weight_range(k: int) -> Cases:
+    signs, w = _code_table(k)
+    top = (1 << k) - 1
+    bad = np.flatnonzero((w < 0) | (w > top))
+    if len(bad):
+        yield f"w({_text(signs[bad[0]])}) = {w[bad[0]]} outside 0..{top}"
+    if np.flatnonzero(w == 0).tolist() != [3**k - 1]:  # the all-'0' code
+        yield f"w = 0 mischaracterized at k={k}"
+    # the maximum: +^a -^(k-a), whose row reads (3^(k-a) - 1) / 2
+    if np.flatnonzero(w == top).tolist() != [(3**j - 1) // 2 for j in range(k + 1)]:
+        yield f"w = {top} vs max form at k={k}"
+    yield len(w)
+
+
+@_property("code-weight/binary-readings", range(0, 13))
+def check_binary_readings(k: int) -> Cases:
+    bits = 1 << np.arange(k - 1, -1, -1)
+    index = np.arange(1 << k)
+    digits = (index[:, None] & bits > 0).view(np.int8)  # row r: r in binary
+    # codes over {0,+} read as binary with '+' as 1, over {0,-} reversed
+    for sign, reading, value in (1, "binary", index), (-1, "reverse binary", digits @ bits[::-1]):
+        signs = sign * digits
+        w = code_weights(signs)
+        bad = np.flatnonzero(w != value)
         if len(bad):
-            yield f"w({_text(signs[bad[0]])}) = {w[bad[0]]} outside 0..{top}"
-        if np.flatnonzero(w == 0).tolist() != [3**k - 1]:  # the all-'0' code
-            yield f"w = 0 mischaracterized at k={k}"
-        # the maximum: +^a -^(k-a), whose row reads (3^(k-a) - 1) / 2
-        if np.flatnonzero(w == top).tolist() != [(3**j - 1) // 2 for j in range(k + 1)]:
-            yield f"w = {top} vs max form at k={k}"
+            yield f"w({_text(signs[bad[0]])}) != {reading} {value[bad[0]]}"
         yield len(w)
 
 
-@_property("code-weight/binary-readings")
-def check_binary_readings(nmax: int) -> Cases:
-    for k in range(0, min(nmax, 12) + 1):
-        bits = 1 << np.arange(k - 1, -1, -1)
-        index = np.arange(1 << k)
-        digits = (index[:, None] & bits > 0).view(np.int8)  # row r: r in binary
-        # codes over {0,+} read as binary with '+' as 1, over {0,-} reversed
-        for sign, reading, value in (1, "binary", index), (-1, "reverse binary", digits @ bits[::-1]):
-            signs = sign * digits
-            w = code_weights(signs)
-            bad = np.flatnonzero(w != value)
-            if len(bad):
-                yield f"w({_text(signs[bad[0]])}) != {reading} {value[bad[0]]}"
-            yield len(w)
-
-
-@_property("code-weight/tiebreak-invariance")
-def check_tiebreak(nmax: int) -> Cases:
+@_property("code-weight/tiebreak-invariance", range(0, 13))
+def check_tiebreak(k: int) -> Cases:
     # also ties the kernel, which the other code-weight checks read, to the definition
-    for k in range(0, min(nmax, 12) + 1):
-        codes = map("".join, itertools.product("+-0", repeat=k))
-        for code, w in zip(codes, _code_table(k)[1].tolist()):
-            ties = weight(code, tie="-"), weight(code, tie="+")
-            yield None if ties == (w, w) else f"w({code}) is {ties} under the two ties, {w} by the kernel"
+    codes = map("".join, itertools.product("+-0", repeat=k))
+    for code, w in zip(codes, _code_table(k)[1].tolist()):
+        ties = weight(code, tie="-"), weight(code, tie="+")
+        yield None if ties == (w, w) else f"w({code}) is {ties} under the two ties, {w} by the kernel"
 
 
 def _block_splits():
@@ -337,8 +334,9 @@ def _block_splits():
         yield beta, rng.randrange(1, 4), gamma, rng.randrange(1, 4), delta
 
 
-@_property("code-weight/block-formula")
-def check_block_formula(nmax: int) -> Cases:
+# one size: the splits are fixed, and the cap on sizes does not scale them
+@_property("code-weight/block-formula", range(1))
+def check_block_formula(_: int) -> Cases:
     weight_of = lru_cache(maxsize=None)(weight)  # each rest beta gamma delta recurs for 9 pairs (p, q)
     for beta, p, gamma, q, delta in _block_splits():
         alpha = beta + "+" * p + gamma + "-" * q + delta
@@ -352,114 +350,106 @@ def check_block_formula(nmax: int) -> Cases:
         )
 
 
-@_property("code-weight/zero-append")
-def check_zero_append(nmax: int) -> Cases:
+@_property("code-weight/zero-append", range(0, 12))
+def check_zero_append(k: int) -> Cases:
     # w(alpha 0) <= w(alpha) + 2^(k - split) - 1 for every split with no '+'
     # before it; the split at the first '+' (or at k) binds
-    for k in range(0, min(nmax, 11) + 1):
-        signs, w = _code_table(k)
-        w0 = code_weights(np.pad(signs, ((0, 0), (0, 1))))  # alpha 0
-        split = ((signs > 0).cumsum(axis=1) == 0).sum(axis=1)  # symbols before the first '+'
-        bad = np.flatnonzero(w0 > w + (1 << (k - split)) - 1)
-        if len(bad):
-            yield f"w({_text(signs[bad[0]])}0) too large for split at {split[bad[0]]}"
-        yield len(w)
+    signs, w = _code_table(k)
+    w0 = code_weights(np.pad(signs, ((0, 0), (0, 1))))  # alpha 0
+    split = ((signs > 0).cumsum(axis=1) == 0).sum(axis=1)  # symbols before the first '+'
+    bad = np.flatnonzero(w0 > w + (1 << (k - split)) - 1)
+    if len(bad):
+        yield f"w({_text(signs[bad[0]])}0) too large for split at {split[bad[0]]}"
+    yield len(w)
 
 
-@_property("code-weight/marking-monotonic")
-def check_marking_monotonic(nmax: int) -> Cases:
-    for k in range(1, min(nmax, 12) + 1):
-        signs, w = _code_table(k)
-        for i in range(k):
-            zero = np.flatnonzero(signs[:, i] == 0)
-            step = 3 ** (k - 1 - i)
-            for marked in zero - 2 * step, zero - step:  # a '+', a '-' at index i
-                bad = np.flatnonzero(w[marked] <= w[zero])
-                if len(bad):
-                    yield f"w({_text(signs[marked[bad[0]]])}) <= w({_text(signs[zero[bad[0]]])})"
-                yield len(zero)
+@_property("code-weight/marking-monotonic", range(1, 13))
+def check_marking_monotonic(k: int) -> Cases:
+    signs, w = _code_table(k)
+    for i in range(k):
+        zero = np.flatnonzero(signs[:, i] == 0)
+        step = 3 ** (k - 1 - i)
+        for marked in zero - 2 * step, zero - step:  # a '+', a '-' at index i
+            bad = np.flatnonzero(w[marked] <= w[zero])
+            if len(bad):
+                yield f"w({_text(signs[marked[bad[0]]])}) <= w({_text(signs[zero[bad[0]]])})"
+            yield len(zero)
 
 
-@_property("code-weight/displacement-increase")
-def check_displacement_weight_increase(nmax: int) -> Cases:
+@_property("code-weight/displacement-increase", range(3, 10))
+def check_displacement_weight_increase(n: int) -> Cases:
     # the set with both ends away from home is closed under eviction, and
     # every eviction inside it raises the weight
-    for n in range(2, min(nmax, 9) + 1):
-        rows, w, away = _weighed(n)
-        starts = rows[away]
-        sources = np.flatnonzero(away)[displacement_sources(starts)]
-        targets = displacement_ranks(starts)
-        bad = np.flatnonzero(~away[targets] | (w[targets] <= w[sources]))
-        if len(bad):
-            p, q = _state(rows, sources[bad[0]]), _state(rows, targets[bad[0]])
-            yield f"displace {p} -> {q}: weight {w[sources[bad[0]]]} -> {w[targets[bad[0]]]}"
-        yield len(targets)
+    rows, w, away = _weighed(n)
+    starts = rows[away]
+    sources = np.flatnonzero(away)[displacement_sources(starts)]
+    targets = displacement_ranks(starts)
+    bad = np.flatnonzero(~away[targets] | (w[targets] <= w[sources]))
+    if len(bad):
+        p, q = _state(rows, sources[bad[0]]), _state(rows, targets[bad[0]])
+        yield f"displace {p} -> {q}: weight {w[sources[bad[0]]]} -> {w[targets[bad[0]]]}"
+    yield len(targets)
 
 
 # ---------------------------------------------------------------------------
 # strategies
 # ---------------------------------------------------------------------------
 
-@_property("strategies/extremal-bound")
-def check_extremal_bound(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 9) + 1):
-        for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
-            bad = np.flatnonzero(step_counts(_steps(n, s), n - 1) > n - 1)
-            if len(bad):
-                p = _state(_signed(n)[0], bad[0])
-                k = step_counts(_steps(n, s), factorial(n))[bad[0]]
-                yield f"{s} took {k} steps on {p}" if k <= factorial(n) else f"{s} never sorts {p}"
-            yield factorial(n)
-
-
-@_property("strategies/stage-monotone")
-def check_stage_monotone(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 9) + 1):
-        rows = _signed(n)[0]
-        level = stage_rows(rows)
-        for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
-            bad = np.flatnonzero(level[_steps(n, s)] < level)  # every step of every run
-            if len(bad):
-                yield f"{s} lowered stage on {_state(rows, bad[0])}"
-            yield len(level)
-
-
-@_property("strategies/lis-lower-bound")
-def check_lis_lower_bound(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 9) + 1):
-        rows, d = _signed(n)[0], min_placements_table(n)
-        bad = np.flatnonzero((d < n - lis_rows(rows)) | (d > n - 1))
+@_property("strategies/extremal-bound", range(1, 10))
+def check_extremal_bound(n: int) -> Cases:
+    for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
+        bad = np.flatnonzero(step_counts(_steps(n, s), n - 1) > n - 1)
         if len(bad):
-            yield f"min_placements({_state(rows, bad[0])}) = {d[bad[0]]}"
-        yield len(d)
+            p = _state(_signed(n)[0], bad[0])
+            k = step_counts(_steps(n, s), factorial(n))[bad[0]]
+            yield f"{s} took {k} steps on {p}" if k <= factorial(n) else f"{s} never sorts {p}"
+        yield factorial(n)
 
 
-@_property("strategies/unique-worst-case")
-def check_unique_worst_case(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 8) + 1):
-        yield None if unique_worst_case_check(n) else (
-            f"n={n}: the reversal is not the only state needing n-1 placements"
+@_property("strategies/stage-monotone", range(1, 10))
+def check_stage_monotone(n: int) -> Cases:
+    rows = _signed(n)[0]
+    level = stage_rows(rows)
+    for s in (SMALLEST_FIRST, LARGEST_FIRST, ALTERNATING_EXTREMAL):
+        bad = np.flatnonzero(level[_steps(n, s)] < level)  # every step of every run
+        if len(bad):
+            yield f"{s} lowered stage on {_state(rows, bad[0])}"
+        yield len(level)
+
+
+@_property("strategies/lis-lower-bound", range(1, 10))
+def check_lis_lower_bound(n: int) -> Cases:
+    rows, d = _signed(n)[0], min_placements_table(n)
+    bad = np.flatnonzero((d < n - lis_rows(rows)) | (d > n - 1))
+    if len(bad):
+        yield f"min_placements({_state(rows, bad[0])}) = {d[bad[0]]}"
+    yield len(d)
+
+
+@_property("strategies/unique-worst-case", range(2, 9))
+def check_unique_worst_case(n: int) -> Cases:
+    yield None if unique_worst_case_check(n) else (
+        f"n={n}: the reversal is not the only state needing n-1 placements"
+    )
+
+
+@_property("strategies/stage-advance-premise", range(2, 10))
+def check_stage_advance_premise(n: int) -> Cases:
+    rows = _signed(n)[0][1:]  # all but the identity, rank 0
+    level = stage_rows(rows)
+    raisers, away = np.zeros(len(rows), np.intp), np.zeros(len(rows), np.intp)
+    for v in range(1, n + 1):
+        moved = np.flatnonzero(rows[:, v - 1] != v)
+        raisers[moved] += stage_rows(place_rows(rows[moved], v)) > level[moved]
+        away[moved] += 1
+    few = raisers < np.where((rows[:, 0] != 1) & (rows[:, -1] != n), 2, 1)
+    bad = np.flatnonzero(few | (raisers * (n - level) < 2 * away))
+    if len(bad):
+        p, r = _state(rows, bad[0]), raisers[bad[0]]
+        yield f"{p} has only {r} stage raisers" if few[bad[0]] else (
+            f"{p}: advance probability below 2/(n-k)"
         )
-
-
-@_property("strategies/stage-advance-premise")
-def check_stage_advance_premise(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 9) + 1):
-        rows = _signed(n)[0][1:]  # all but the identity, rank 0
-        level = stage_rows(rows)
-        raisers, away = np.zeros(len(rows), np.intp), np.zeros(len(rows), np.intp)
-        for v in range(1, n + 1):
-            moved = np.flatnonzero(rows[:, v - 1] != v)
-            raisers[moved] += stage_rows(place_rows(rows[moved], v)) > level[moved]
-            away[moved] += 1
-        few = raisers < np.where((rows[:, 0] != 1) & (rows[:, -1] != n), 2, 1)
-        bad = np.flatnonzero(few | (raisers * (n - level) < 2 * away))
-        if len(bad):
-            p, r = _state(rows, bad[0]), raisers[bad[0]]
-            yield f"{p} has only {r} stage raisers" if few[bad[0]] else (
-                f"{p}: advance probability below 2/(n-k)"
-            )
-        yield len(rows)
+    yield len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -483,37 +473,34 @@ def forward_eviction_heights(n: int) -> list[int]:
     return [dist.get(p, -1) for p in all_perms(n)]
 
 
-@_property("height-map/eviction-duality")
-def check_eviction_duality(nmax: int) -> Cases:
-    for n in range(1, min(nmax, 6) + 1):
-        yield None if list(_table(n).heights) == forward_eviction_heights(n) else (
-            f"n={n}: forward eviction distances disagree"
-        )
+@_property("height-map/eviction-duality", range(1, 7))
+def check_eviction_duality(n: int) -> Cases:
+    yield None if list(_table(n).heights) == forward_eviction_heights(n) else (
+        f"n={n}: forward eviction distances disagree"
+    )
 
 
-@_property("height-map/max-height")
-def check_max_heights(nmax: int) -> Cases:
+@_property("height-map/max-height", range(1, 11))
+def check_max_heights(n: int) -> Cases:
     # the ceiling 2^(n-1) - 1, met by the rotation and by as many states as
     # the recurrence counts, and the gateway at 2^(n-2)
-    for n in range(1, min(nmax, 10) + 1):
-        table, top = _table(n), (1 << (n - 1)) - 1
-        if table.max() != top:
-            yield f"max height at n={n} is {table.max()}"
-        if table.height_of(rotation(n)) != top:
-            yield f"rotation not at max height for n={n}"
-        if n >= 2 and np.count_nonzero(table.heights == top) != worst_case_count(n):
-            yield f"top level at n={n} is not worst_case_count({n}) states"
-        if n >= 2 and table.height_of(swap_ends(n)) != 1 << (n - 2):
-            yield f"gateway height wrong at n={n}"
-        yield None
+    table, top = _table(n), (1 << (n - 1)) - 1
+    if table.max() != top:
+        yield f"max height at n={n} is {table.max()}"
+    if table.height_of(rotation(n)) != top:
+        yield f"rotation not at max height for n={n}"
+    if n >= 2 and np.count_nonzero(table.heights == top) != worst_case_count(n):
+        yield f"top level at n={n} is not worst_case_count({n}) states"
+    if n >= 2 and table.height_of(swap_ends(n)) != 1 << (n - 2):
+        yield f"gateway height wrong at n={n}"
+    yield None
 
 
-@_property("height-map/stage1-longest")
-def check_stage1_longest(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 9) + 1):
-        # ranks below (n-1)! are the states with 1 in front, which no placement leaves
-        got = int(_table(n).heights[: factorial(n - 1)].max())
-        yield None if got == (1 << (n - 2)) - 1 else f"stage1_longest({n}) = {got}"
+@_property("height-map/stage1-longest", range(2, 10))
+def check_stage1_longest(n: int) -> Cases:
+    # ranks below (n-1)! are the states with 1 in front, which no placement leaves
+    got = int(_table(n).heights[: factorial(n - 1)].max())
+    yield None if got == (1 << (n - 2)) - 1 else f"stage1_longest({n}) = {got}"
 
 
 def eviction_runs(n: int, rows: np.ndarray, away: np.ndarray) -> np.ndarray:
@@ -530,107 +517,101 @@ def eviction_runs(n: int, rows: np.ndarray, away: np.ndarray) -> np.ndarray:
     return run
 
 
-@_property("height-map/weight-certificate")
-def check_weight_certificate(nmax: int) -> Cases:
+@_property("height-map/weight-certificate", range(2, 10))
+def check_weight_certificate(n: int) -> Cases:
     # with both ends away from home, eviction paths are weight-graded, so no
     # run inside that region can exceed the code weight range 2^(n-2) - 1
-    for n in range(2, min(nmax, 9) + 1):
-        rows, w, away = _weighed(n)
-        run = eviction_runs(n, rows, away)
-        slack = (1 << (n - 2)) - 1 - w
-        bad = np.flatnonzero(away & (run > slack))
-        if len(bad):
-            yield f"{_state(rows, bad[0])} sustains {run[bad[0]]} > {slack[bad[0]]} evictions"
-        yield int(away.sum())
+    rows, w, away = _weighed(n)
+    run = eviction_runs(n, rows, away)
+    slack = (1 << (n - 2)) - 1 - w
+    bad = np.flatnonzero(away & (run > slack))
+    if len(bad):
+        yield f"{_state(rows, bad[0])} sustains {run[bad[0]]} > {slack[bad[0]]} evictions"
+    yield int(away.sum())
 
 
-@_property("height-map/worst-case-code-shape", "converse fails as expected")
-def check_mn_code_shape(nmax: int) -> Cases:
-    # a worst case has a block code +^a -^b: no '0', never rising along it
-    converse_broken = False
-    for n in range(2, min(nmax, 9) + 1):
-        rows, signs = _signed(n)
-        members = _table(n).heights == (1 << (n - 1)) - 1
-        block = (signs != 0).all(axis=1) & (np.diff(signs, axis=1) <= 0).all(axis=1)
-        bad = np.flatnonzero(members & ~block)
-        if len(bad):
-            yield f"{_state(rows, bad[0])} in worst set, code {_text(signs[bad[0]])}"
-        yield int(members.sum())
-        converse_broken |= bool((block & ~members).any())
-    if not converse_broken:
-        yield "no counterexample to the converse was found"
+@_property("height-map/worst-case-code-shape", range(2, 10), "converse fails as expected")
+def check_mn_code_shape(n: int) -> Cases:
+    # a worst case has a block code +^a -^b: no '0', never rising along it;
+    # the converse fails at every n
+    rows, signs = _signed(n)
+    members = _table(n).heights == (1 << (n - 1)) - 1
+    block = (signs != 0).all(axis=1) & (np.diff(signs, axis=1) <= 0).all(axis=1)
+    bad = np.flatnonzero(members & ~block)
+    if len(bad):
+        yield f"{_state(rows, bad[0])} in worst set, code {_text(signs[bad[0]])}"
+    yield int(members.sum())
+    if not (block & ~members).any():
+        yield f"n={n}: no counterexample to the converse"
 
 
 # ---------------------------------------------------------------------------
 # firings
 # ---------------------------------------------------------------------------
 
-@_property("firings/step-count-and-weight")
-def check_firing_steps(nmax: int) -> Cases:
+@_property("firings/step-count-and-weight", range(3, 10))
+def check_firing_steps(n: int) -> Cases:
     # fires every legal letter from every reachable prefix state once: the
     # letter's displacement block, the oracle, is replayed one displacement
     # at a time and must end where apply_letter's splice does, with the code
     # and the landing value the firing promises
-    weight_of = lru_cache(maxsize=None)(weight)  # codes of length <= 7 only
-    for n in range(3, min(nmax, 9) + 1):
-        for word, p in walk(n):
-            if len(word) == n - 2:
-                continue
-            i, k, j = code_shape(code_of(p))
-            for letter in next_letters(word):
-                fired = word + (letter,)
-                s = i + 1 - letter.index if letter.side == "L" else i + k + 2 + letter.index
-                moves = firing_moves(p, letter)
-                if len(moves) != 1 << (k - 1):
-                    yield f"n={n} {format_word(fired)}: block size {len(moves)}"
-                q, code = p, code_of(p)
-                for v, t in moves:
-                    w = weight_of(code)
-                    q = displace(q, v, t)
-                    code = code_of(q)
-                    if weight_of(code) != w + 1:
-                        yield f"n={n} {format_word(fired)}: weight step {w}->{weight_of(code)}"
-                if letter.side == "L":
-                    after, landed = "+" * i + "0" * (k - 1) + "-" * (j + 1), i + k + 1
-                else:
-                    after, landed = "+" * (i + 1) + "0" * (k - 1) + "-" * j, i + 2
-                if code != after or q[s - 1] != landed:
-                    yield f"n={n} {format_word(fired)}: code {code}, {q[s - 1]} at position {s}"
-                yield None if q == apply_letter(p, letter) else (
-                    f"n={n} {format_word(fired)}: splice and cascade disagree"
-                )
+    weight_of = lru_cache(maxsize=None)(weight)  # codes of length n - 2 recur only within n
+    for word, p in walk(n):
+        if len(word) == n - 2:
+            continue
+        i, k, j = code_shape(code_of(p))
+        for letter in next_letters(word):
+            fired = word + (letter,)
+            s = i + 1 - letter.index if letter.side == "L" else i + k + 2 + letter.index
+            moves = firing_moves(p, letter)
+            if len(moves) != 1 << (k - 1):
+                yield f"n={n} {format_word(fired)}: block size {len(moves)}"
+            q, code = p, code_of(p)
+            for v, t in moves:
+                w = weight_of(code)
+                q = displace(q, v, t)
+                code = code_of(q)
+                if weight_of(code) != w + 1:
+                    yield f"n={n} {format_word(fired)}: weight step {w}->{weight_of(code)}"
+            if letter.side == "L":
+                after, landed = "+" * i + "0" * (k - 1) + "-" * (j + 1), i + k + 1
+            else:
+                after, landed = "+" * (i + 1) + "0" * (k - 1) + "-" * j, i + 2
+            if code != after or q[s - 1] != landed:
+                yield f"n={n} {format_word(fired)}: code {code}, {q[s - 1]} at position {s}"
+            yield None if q == apply_letter(p, letter) else (
+                f"n={n} {format_word(fired)}: splice and cascade disagree"
+            )
 
 
-@_property("firings/schedule-total")
-def check_schedule_total(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 8) + 1):
-        members = _worst(n)
-        states = [swap_ends(n)] * (n - 1)  # the state at each depth of the current branch
-        spent = [0] * (n - 1)  # displacements spent along it to each depth
-        for word, p in walk(n):
-            depth = len(word)
-            if depth:
-                parent, letter = states[depth - 1], word[-1]
-                moves = firing_moves(parent, letter)
-                states[depth], spent[depth] = p, spent[depth - 1] + len(moves)
-            if depth == n - 2:
-                if spent[depth] != (1 << (n - 2)) - 1:
-                    yield f"{format_word(word)} used {spent[depth]} displacements"
-                yield None if p in members else f"{format_word(word)} left the worst-case set"
+@_property("firings/schedule-total", range(2, 9))
+def check_schedule_total(n: int) -> Cases:
+    members = _worst(n)
+    states = [swap_ends(n)] * (n - 1)  # the state at each depth of the current branch
+    spent = [0] * (n - 1)  # displacements spent along it to each depth
+    for word, p in walk(n):
+        depth = len(word)
+        if depth:
+            parent, letter = states[depth - 1], word[-1]
+            moves = firing_moves(parent, letter)
+            states[depth], spent[depth] = p, spent[depth - 1] + len(moves)
+        if depth == n - 2:
+            if spent[depth] != (1 << (n - 2)) - 1:
+                yield f"{format_word(word)} used {spent[depth]} displacements"
+            yield None if p in members else f"{format_word(word)} left the worst-case set"
 
 
-@_property("firings/word-bijection")
-def check_word_bijection(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 9) + 1):
-        ends = [p for word, p in walk(n) if len(word) == n - 2]
-        images = set(ends)
-        if len(images) != len(ends):
-            yield f"n={n}: words collide"
-        members = _worst(n)
-        if len(images) != len(members):
-            yield f"n={n}: image has {len(images)} of {len(members)}"
-        for p in images:
-            yield None if p in members else f"n={n}: {format_perm(p)} is not a worst case"
+@_property("firings/word-bijection", range(2, 10))
+def check_word_bijection(n: int) -> Cases:
+    ends = [p for word, p in walk(n) if len(word) == n - 2]
+    images = set(ends)
+    if len(images) != len(ends):
+        yield f"n={n}: words collide"
+    members = _worst(n)
+    if len(images) != len(members):
+        yield f"n={n}: image has {len(images)} of {len(members)}"
+    for p in images:
+        yield None if p in members else f"n={n}: {format_perm(p)} is not a worst case"
 
 
 def normal_forms(word: FiringWord) -> set[FiringWord]:
@@ -654,57 +635,53 @@ def normal_forms(word: FiringWord) -> set[FiringWord]:
     return forms
 
 
-@_property("firings/confluence")
-def check_confluence(nmax: int) -> Cases:
-    for length in range(0, min(max(nmax - 2, 0), 6) + 1):
-        every = walk(length + 2, keep=lambda word, letter: True)
-        fired = {word: p for word, p in every if len(word) == length}  # every valid word
-        for word, p in fired.items():
-            forms = normal_forms(word)
-            canon = canonicalize(word)
-            if forms != {canon} or not is_canonical(canon):
-                yield f"{format_word(word)} has normal forms {forms}"
-            yield None if p == fired[canon] else f"rewrite changed the state of {format_word(word)}"
+@_property("firings/confluence", range(2, 9))
+def check_confluence(n: int) -> Cases:
+    every = walk(n, keep=lambda word, letter: True)
+    fired = {word: p for word, p in every if len(word) == n - 2}  # every valid word
+    for word, p in fired.items():
+        forms = normal_forms(word)
+        canon = canonicalize(word)
+        if forms != {canon} or not is_canonical(canon):
+            yield f"{format_word(word)} has normal forms {forms}"
+        yield None if p == fired[canon] else f"rewrite changed the state of {format_word(word)}"
 
 
-@_property("firings/recurrence-vs-language")
-def check_recurrence_language(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 9) + 1):
-        by_rights = Counter(
-            sum(1 for let in w if let.side == "R") for w in canonical_words(n)
+@_property("firings/recurrence-vs-language", range(2, 10))
+def check_recurrence_language(n: int) -> Cases:
+    by_rights = Counter(
+        sum(1 for let in w if let.side == "R") for w in canonical_words(n)
+    )
+    for i in range(1, n):
+        yield None if split_count(i, n - i) == by_rights.get(i - 1, 0) else (
+            f"f({i},{n - i}) != language count"
         )
-        for i in range(1, n):
-            yield None if split_count(i, n - i) == by_rights.get(i - 1, 0) else (
-                f"f({i},{n - i}) != language count"
-            )
-        if worst_case_count(n) != sum(by_rights.values()):
-            yield f"diagonal sum mismatch at n={n}"
+    if worst_case_count(n) != sum(by_rights.values()):
+        yield f"diagonal sum mismatch at n={n}"
 
 
-@_property("firings/short-firing-injectivity")
-def check_short_firing_injectivity(nmax: int) -> Cases:
-    for n in range(2, min(nmax, 9) + 1):
-        image = short_firing_image(n)
-        if len(image) != 1 << (n - 2):
-            yield f"n={n}: image size {len(image)}"
-        members = _worst(n)
-        for p in image:
-            yield None if p in members else f"n={n}: image leaves the worst-case set"
+@_property("firings/short-firing-injectivity", range(2, 10))
+def check_short_firing_injectivity(n: int) -> Cases:
+    image = short_firing_image(n)
+    if len(image) != 1 << (n - 2):
+        yield f"n={n}: image size {len(image)}"
+    members = _worst(n)
+    for p in image:
+        yield None if p in members else f"n={n}: image leaves the worst-case set"
 
 
-@_property("firings/partition-roundtrip")
-def check_partition_roundtrip(nmax: int) -> Cases:
-    for length in range(0, min(nmax, 8) + 1):
-        seen = set()
-        for word in restricted_words(length):
-            check_word(word)
-            q = word_to_partition(word)
-            yield None if partition_to_word(q) == word else (
-                f"roundtrip failed for {format_word(word, True)}"
-            )
-            seen.add(q)
-        if len(seen) != bell_number(length + 1):
-            yield f"length {length}: {len(seen)} partitions, not B({length + 1})"
+@_property("firings/partition-roundtrip", range(0, 9))
+def check_partition_roundtrip(length: int) -> Cases:
+    seen = set()
+    for word in restricted_words(length):
+        check_word(word)
+        q = word_to_partition(word)
+        yield None if partition_to_word(q) == word else (
+            f"roundtrip failed for {format_word(word, True)}"
+        )
+        seen.add(q)
+    if len(seen) != bell_number(length + 1):
+        yield f"length {length}: {len(seen)} partitions, not B({length + 1})"
 
 
 # ---------------------------------------------------------------------------

@@ -282,8 +282,9 @@ def test_word_listings_refuse_bad_lengths_when_called():
             words(-1)
         assert list(words(0)) == [()]
     for n in (1, 0):
-        with pytest.raises(InputError, match="n >= 2"):
-            canonical_words(n)
+        for refuse in (canonical_words, lambda n: apply_word((), n), lambda n: next(walk(n))):
+            with pytest.raises(InputError, match=f"words need n >= 2, got {n}"):
+                refuse(n)
     assert isinstance(canonical_words(4), Iterator)
 
 

@@ -1,11 +1,13 @@
 """The invariant suites themselves run clean at a small scale."""
+import argparse
 from math import factorial
+from types import SimpleNamespace
 from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
-from homing import all_perms, code_of, displacement_successors, heights, rank, verify, weight
+from homing import all_perms, cli, code_of, displacement_successors, heights, rank, verify, weight
 from homing.successors import code_signs, code_weights, displacement_ranks, displacement_sources, perm_matrix
 from homing.verify import (
     SUITES,
@@ -143,48 +145,86 @@ def test_a_wrong_table_fails_the_strategy_checks(monkeypatch, check, kernel, wro
 
 
 def test_failure_stops_at_the_first_counterexample():
-    @_property("demo/evens")
-    def check_evens(nmax):
-        for v in range(nmax):
-            yield None if v % 2 == 0 else f"{v} is odd"
+    ran = []
 
-    assert check_evens(1) == PropertyResult("demo/evens", True, "", 1)
-    assert check_evens(5) == PropertyResult("demo/evens", False, "1 is odd", 1)
+    @_property("demo/evens", range(0, 5))
+    def check_evens(v):
+        ran.append(v)
+        yield None if v % 2 == 0 else f"{v} is odd"
+
+    assert check_evens(0) == PropertyResult("demo/evens", True, "", 1)
+    assert check_evens(4) == PropertyResult("demo/evens", False, "1 is odd", 1)
+    assert ran == [0, 0, 1]  # no size past the counterexample runs
     assert check_evens.__name__ == "check_evens"
+    assert check_evens.sizes == range(0, 5)
 
 
 def test_an_int_yield_counts_that_many_cases():
-    @_property("demo/batches")
-    def check_batches(nmax):
-        for size in range(nmax):
-            yield size
+    @_property("demo/batches", range(0, 4))
+    def check_batches(size):
+        yield size
         yield None
 
-    assert check_batches(4) == PropertyResult("demo/batches", True, "", 0 + 1 + 2 + 3 + 1)
+    assert check_batches(3) == PropertyResult("demo/batches", True, "", (0 + 1 + 2 + 3) + 4)
+    assert check_batches(1) == PropertyResult("demo/batches", True, "", (0 + 1) + 2)
 
-    @_property("demo/empty")
-    def check_empty(nmax):
+    @_property("demo/empty", range(1))
+    def check_empty(size):
         yield 0
 
     assert check_empty(3) == PropertyResult("demo/empty", False, "no case checked at nmax=3", 0)
 
 
 def test_a_check_with_no_case_fails():
-    @_property("demo/evens")
-    def check_evens(nmax):
-        for v in range(0, nmax, 2):
+    @_property("demo/evens", range(0, 5))
+    def check_evens(n):
+        for v in range(0, n, 2):
             yield None
 
+    # size 0 runs and yields no case
     assert check_evens(0) == PropertyResult("demo/evens", False, "no case checked at nmax=0", 0)
     assert check_evens(1).passed
+
+    @_property("demo/late", range(3, 5))
+    def check_late(n):
+        raise AssertionError("a size above nmax ran")
+
+    assert check_late(2) == PropertyResult("demo/late", False, "no case checked at nmax=2", 0)
 
 
 @pytest.mark.parametrize("nmax", [0, 1, 2])
 def test_small_nmax_fails_the_checks_it_starves(nmax):
+    """Exactly the properties whose first size lies above ``nmax`` have no
+    case to check, and fail; every other property passes."""
+    checks = [c for group in SUITES.values() for c in group]
     results = run_suite("all", nmax=nmax)
-    starved = [r for r in results if r.detail == f"no case checked at nmax={nmax}"]
-    assert starved and not any(r.passed or r.cases for r in starved)
-    assert all(r.cases > 0 for r in results if r.passed)
+    starved = {r.name for r in results if r.detail == f"no case checked at nmax={nmax}"}
+    assert starved == {r.name for c, r in zip(checks, results) if c.sizes.start > nmax}
+    assert not any(r.passed or r.cases for r in results if r.name in starved)
+    assert all(r.passed and r.cases > 0 for r in results if r.name not in starved)
+
+
+def test_the_cli_nmax_floor_is_the_largest_first_size():
+    """``homing verify`` refuses exactly the ``--nmax`` values at which some
+    property would have no case to check."""
+    floor = max(c.sizes.start for group in SUITES.values() for c in group)
+    assert cli._verify_nmax(str(floor)) == floor
+    with pytest.raises(argparse.ArgumentTypeError, match=f"at least {floor}"):
+        cli._verify_nmax(str(floor - 1))
+
+
+def test_a_converse_with_no_counterexample_fails_the_code_shape_check(monkeypatch):
+    """Planted heights that put every block-code state of S_4, and nothing
+    else, at the top leave the converse with no counterexample at n = 4."""
+    real = verify._table
+    signs = verify._signed(4)[1]
+    block = (signs != 0).all(axis=1) & (np.diff(signs, axis=1) <= 0).all(axis=1)
+    planted = SimpleNamespace(heights=np.where(block, (1 << 3) - 1, 0))
+    monkeypatch.setattr(verify, "_table", lambda n: planted if n == 4 else real(n))
+    result = verify.check_mn_code_shape(7)
+    assert not result.passed
+    assert result.detail == "n=4: no counterexample to the converse"
+    assert result.cases == 1 + 2 + int(block.sum())  # the worst cases of n = 2, 3 and the planted n = 4
 
 
 def test_displacement_increase_matches_per_move_oracle():
