@@ -28,7 +28,7 @@ from .perms import (
     lis_length,
     parse_perm,
     place,
-    place_inplace,
+    place_at,
     placeable_values,
     placement_successors,
     rank,
@@ -75,7 +75,7 @@ __all__ = [
     "parse_code",
     "parse_perm",
     "place",
-    "place_inplace",
+    "place_at",
     "placeable_values",
     "placement_successors",
     "rank",

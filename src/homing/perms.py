@@ -9,9 +9,9 @@ sorting process: think of n numbered balls in a trough.
 balls it passes over shift by one to make room.  ``displace`` is the exact
 inverse: it evicts a value that currently sits at home.  Both are pure
 functions on tuples, so everything here is safe to share across threads.
-``place_inplace`` is the one placement routine: it makes the same move on a
-mutable row (a list, a ``bytearray`` or an ``array.array``), and ``place``
-runs it on a copy.  ``as_perm`` is the one validity check, which every
+``place_at`` is the one placement routine: it places the value at a given
+position of a mutable row (a list, a ``bytearray`` or an ``array.array``),
+and ``place`` runs it on a copy, from the position of the value it names.  ``as_perm`` is the one validity check, which every
 search or run toward the identity makes on the state it is given.
 """
 from __future__ import annotations
@@ -141,21 +141,23 @@ def placeable_values(p: Perm) -> list[int]:
     return [v for pos, v in enumerate(p, 1) if v != pos]
 
 
-def place_inplace(row: MutableSequence[int], value: int) -> None:
-    """Move ``value`` to its home position in ``row`` itself, shifting what
-    it passes over.
+def place_at(row: MutableSequence[int], q: int) -> int:
+    """Move the value at 0-based position ``q`` of ``row`` to its home
+    position in ``row`` itself, shifting what it passes over, and return
+    that value.
 
     >>> row = bytearray((4, 1, 3, 5, 2))
-    >>> place_inplace(row, 1)
+    >>> place_at(row, 1)
+    1
     >>> list(row)
     [1, 4, 3, 5, 2]
     """
-    pos = row.index(value)
-    home = value - 1
-    if pos == home:
+    value = row[q]
+    if value == q + 1:
         raise InvalidMoveError(f"cannot place {value}: already home")
-    del row[pos]
-    row.insert(home, value)
+    del row[q]
+    row.insert(value - 1, value)
+    return value
 
 
 def place(p: Perm, value: int) -> Perm:
@@ -167,7 +169,7 @@ def place(p: Perm, value: int) -> Perm:
     (1, 4, 3, 5, 2)
     """
     items = list(p)
-    place_inplace(items, value)
+    place_at(items, items.index(value))
     return tuple(items)
 
 

@@ -1,6 +1,8 @@
 """Homing strategies and their step tables, shortest sorts, and random homing.
 
-A strategy picks which out-of-place value to place next.  The extremal
+A strategy picks which out-of-place value to place next: each is a
+stepper, a generator over the live row that yields the position of the next
+value to place and stops once the row is the identity.  The extremal
 strategies (smallest-first, largest-first, and the alternating variant)
 finish in at most n-1 steps because an extremal value, once home, is never
 dislodged.  The leftmost-not-home rule on the rotation 2,3,...,n,1 walks
@@ -17,14 +19,17 @@ Shortest sorts are breadth-first searches over the placement digraph: the
 search from one state keeps the set of states it has reached, and the table
 for all of S_n takes the rounds of :func:`homing.successors.release_rounds`.
 
-A run places each state once, with :func:`homing.perms.place_inplace` on
-one packed row, and appends the row to a packed buffer that the trace
-keeps: n bytes per step, or 2n for 256 <= n < 65,536.  Its codes, weights
-and text are computed per block of up to ``_BLOCK`` steps of that buffer,
-read as a matrix: one scatter gives the positions, the weight kernel of
-:mod:`homing.successors` the codes and weights (:func:`code_signs`,
-:func:`code_weights`), and byte tables the text, which the CLI writes
-as it comes, with no round trip through ``str``.
+A run places from each position its stepper yields, with
+:func:`homing.perms.place_at` on one packed row, and appends the row to a
+packed buffer that the trace keeps: n bytes per step, or 2n for
+256 <= n < 65,536.  Leftmost-not-home keeps a pointer that never moves
+left, so its search for the next position costs O(n) over the whole run,
+not per step; the extremal steppers keep one such pointer at each end.
+The run's codes, weights and text are computed per block of up to
+``_BLOCK`` steps of that buffer, read as a matrix: one scatter gives the
+positions, the weight kernel of :mod:`homing.successors` the codes and
+weights (:func:`code_signs`, :func:`code_weights`), and byte tables the
+text, which the CLI writes as it comes, with no round trip through ``str``.
 :func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
 definition, and the tests compare the blocks with them.
 
@@ -42,12 +47,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, MutableSequence, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .perms import Perm, _check_n, as_perm, identity, place, place_inplace, placeable_values
+from .perms import Perm, _check_n, as_perm, identity, place, place_at, placeable_values
 from .successors import (
     DEFAULT_CAP,
     check_cap,
@@ -211,57 +216,94 @@ def _digits(values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# choosers
+# steppers: each walks the live row, yields the 0-based position of the next
+# value to place, and stops once the row is the identity
 # ---------------------------------------------------------------------------
 
-def _choose_smallest(p: Sequence[int]) -> int:
-    return min(placeable_values(p))
+def _smallest_first(row: MutableSequence[int]) -> Iterator[int]:
+    # positions left of h hold 1..h, so h+1 is the smallest value away, and
+    # placing it from the right of h leaves 1..h+1 home
+    h, n = 0, len(row)
+    while True:
+        while h < n and row[h] == h + 1:
+            h += 1
+        if h == n:
+            return
+        yield row.index(h + 1, h)
 
 
-def _choose_largest(p: Sequence[int]) -> int:
-    return max(placeable_values(p))
+def _largest_first(row: MutableSequence[int]) -> Iterator[int]:
+    # positions right of t hold t+2..n, so t+1 is the largest value away, and
+    # placing it from the left of t leaves t+1..n home
+    t = len(row) - 1
+    while True:
+        while t >= 0 and row[t] == t + 1:
+            t -= 1
+        if t < 0:
+            return
+        yield row.index(t + 1)
 
 
-def _remainder_is_reverse(p: Perm) -> bool:
+def _remainder_is_reverse(row: Sequence[int]) -> bool:
     """True if the out-of-place values read in decreasing positional order."""
-    rem = placeable_values(p)
+    rem = placeable_values(row)
     return len(rem) >= 2 and all(a > b for a, b in zip(rem, rem[1:]))
 
 
-def _choose_alternating(p: Sequence[int]) -> int:
-    # Place 1 or n (the extremal candidates), preferring whichever leaves a
-    # non-reverse remainder; ties go to the smaller value.
-    vals = placeable_values(p)
-    lo, hi = min(vals), max(vals)
-    if lo == hi:
-        return lo
-    if _remainder_is_reverse(place(p, lo)) and not _remainder_is_reverse(place(p, hi)):
-        return hi
-    return lo
+def _reverse_after(row: MutableSequence[int], q: int) -> bool:
+    """:func:`_remainder_is_reverse` of ``row`` once the value at ``q`` is placed."""
+    after = row[:]
+    place_at(after, q)
+    return _remainder_is_reverse(after)
 
 
-def _choose_leftmost(p: Sequence[int]) -> int:
-    for pos, v in enumerate(p, 1):
-        if v != pos:
-            return v
-    raise AssertionError("no out-of-place value in a non-identity state")
+def _alternating_extremal(row: MutableSequence[int]) -> Iterator[int]:
+    # Place the smallest or the largest value away (h+1 or t+1, as in the
+    # two steppers above), preferring whichever leaves a non-reverse
+    # remainder; ties go to the smaller value.
+    h, t = 0, len(row) - 1
+    while True:
+        while h <= t and row[h] == h + 1:
+            h += 1
+        if h > t:
+            return
+        while row[t] == t + 1:  # stops at h at the latest
+            t -= 1
+        lo, hi = row.index(h + 1, h), row.index(t + 1, h)
+        yield hi if _reverse_after(row, lo) and not _reverse_after(row, hi) else lo
 
 
-def _random_choice(rng: random.Random, p: Sequence[int]) -> int:
-    """The one random rule, of runs and the Monte Carlo: uniform among the out-of-place values."""
-    candidates = placeable_values(p)
-    return candidates[rng.randrange(len(candidates))]
+def _leftmost_not_home(row: MutableSequence[int]) -> Iterator[int]:
+    # positions left of q hold 1..q, so the value found at q is larger than
+    # q+1 and moves right, leaving them home: q never moves left
+    q, n = 0, len(row)
+    while True:
+        while q < n and row[q] == q + 1:
+            q += 1
+        if q == n:
+            return
+        yield q
 
 
-_CHOOSERS: dict[str, Callable[[Sequence[int]], int]] = {
-    SMALLEST_FIRST: _choose_smallest,
-    LARGEST_FIRST: _choose_largest,
-    ALTERNATING_EXTREMAL: _choose_alternating,
-    LEFTMOST_NOT_HOME: _choose_leftmost,
+def _random_steps(rng: random.Random, row: MutableSequence[int]) -> Iterator[int]:
+    """The one random rule, of runs and the Monte Carlo: uniform among the
+    out-of-place values, drawn by position in positional order."""
+    while True:
+        away = [q for q, v in enumerate(row, 1) if v != q]  # 1-based
+        if not away:
+            return
+        yield away[rng.randrange(len(away))] - 1
+
+
+_STEPPERS: dict[str, Callable[[MutableSequence[int]], Iterator[int]]] = {
+    SMALLEST_FIRST: _smallest_first,
+    LARGEST_FIRST: _largest_first,
+    ALTERNATING_EXTREMAL: _alternating_extremal,
+    LEFTMOST_NOT_HOME: _leftmost_not_home,
 }
 
 
-# the choosers over many rows at once, for the step tables
+# the steppers' rules over many rows at once, for the step tables
 
 def _fold_away(rows: np.ndarray, pick: Callable, start: int) -> np.ndarray:
     """Each row's out-of-place values, in positional order, folded into one
@@ -300,7 +342,7 @@ def _remainder_is_reverse_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _alternating_rows(rows: np.ndarray) -> np.ndarray:
-    # both placements, then the rule of _choose_alternating row by row; a
+    # both placements, then the rule of _alternating_extremal row by row; a
     # state that is not the identity has two out-of-place values at least
     lo, hi = place_rows(rows, _smallest_rows(rows)), place_rows(rows, _largest_rows(rows))
     take_hi = _remainder_is_reverse_rows(lo) & ~_remainder_is_reverse_rows(hi)
@@ -325,10 +367,10 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     if strategy == RANDOM:
         if seed is None:
             raise InputError("the random strategy requires an explicit seed")
-        choose = partial(_random_choice, random.Random(seed & 0xFFFFFFFFFFFFFFFF))
+        steps = partial(_random_steps, random.Random(seed & 0xFFFFFFFFFFFFFFFF))
     else:
         try:
-            choose = _CHOOSERS[strategy]
+            steps = _STEPPERS[strategy]
         except KeyError:
             raise InputError(f"unknown strategy {strategy!r}") from None
         if seed is not None:
@@ -337,26 +379,21 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
     p = as_perm(p)
     n = len(p)
     _check_n(n)
-    limit = (1 << (n - 1)) - 1
-    state = array(_row_type(n), p)
-    target = array(state.typecode, range(1, n + 1))
-    rows = state[:]
+    row = array(_row_type(n), p)
+    rows = row[:]
     moves = []
-    for _ in range(limit + 1):
-        if state == target:
-            break
-        v = choose(state)
-        place_inplace(state, v)
-        rows += state
-        moves.append(v)
-    else:
+    # the bound goes first, so that zip stops at it without asking for one more step
+    for _, q in zip(range((1 << (n - 1)) - 1), steps(row)):
+        moves.append(place_at(row, q))
+        rows += row
+    if row != array(row.typecode, range(1, n + 1)):
         raise AssertionError("homing exceeded its proven step bound")
     # one copy at a time, each source freed once its copy is made: on the
     # n = 20 rotation a list still alive while the bytes are made adds 4 MB
     # to the peak
     moves = tuple(moves)
     rows = bytes(rows)
-    return Trace(p, moves, tuple(state), rows)
+    return Trace(p, moves, tuple(row), rows)
 
 
 def step_table(n: int, strategy: str) -> np.ndarray:
@@ -507,22 +544,23 @@ def _trial_seed(seed: int, index: int) -> int:
 
 
 def random_homing_mean(n: int, trials: int, seed: int) -> RandomHomingEstimate:
-    """Mean random-homing step count over uniform start states (seeded)."""
+    """Mean random-homing step count over uniform start states (seeded).
+
+    Each trial shuffles a packed row and homes it with the random
+    strategy's stepper, the one :func:`run_strategy` draws from."""
     if trials < 1:
         raise InputError("trials must be >= 1")
     _check_n(n)
     total = 0
     worst = 0
-    base = list(range(1, n + 1))
-    target = identity(n)
+    base = array(_row_type(n), range(1, n + 1))
     for i in range(trials):
         rng = random.Random(_trial_seed(seed, i))
-        start = base[:]
-        rng.shuffle(start)
-        p = tuple(start)
+        row = base[:]
+        rng.shuffle(row)
         steps = 0
-        while p != target:
-            p = place(p, _random_choice(rng, p))
+        for q in _random_steps(rng, row):
+            place_at(row, q)
             steps += 1
         total += steps
         if steps > worst:

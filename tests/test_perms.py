@@ -21,7 +21,7 @@ from homing import (
     lis_length,
     parse_perm,
     place,
-    place_inplace,
+    place_at,
     placeable_values,
     placement_successors,
     rank,
@@ -79,15 +79,17 @@ def test_place_matches_oracle_exhaustively(n):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("row_type", [list, bytearray, lambda p: array("H", p)])
 def test_place_inplace_matches_oracle_exhaustively(n, row_type):
+    """``place_at`` places in the row itself from every position, and
+    refuses a value that is home."""
     for p in all_perms(n):
-        for v in range(1, n + 1):
+        for q, v in enumerate(p):
             row = row_type(p)
-            if p[v - 1] == v:
+            if v == q + 1:
                 with pytest.raises(InvalidMoveError, match="already home"):
-                    place_inplace(row, v)
+                    place_at(row, q)
                 assert tuple(row) == p  # a refused move leaves the row alone
             else:
-                assert place_inplace(row, v) is None
+                assert place_at(row, q) == v
                 assert tuple(row) == oracle_move(p, v, v)
 
 
@@ -273,7 +275,7 @@ def no_placement(monkeypatch):
         raise AssertionError("a placement ran before the state was checked")
 
     for module in (perms, heights, strategies):
-        for name in ("place", "place_inplace", "placement_successors"):
+        for name in ("place", "place_at", "placement_successors"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
 

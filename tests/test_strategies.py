@@ -1,5 +1,8 @@
 """Strategy runs, step tables, shortest sorts, and random homing."""
+import random
 import tracemalloc
+from array import array
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -255,6 +258,96 @@ def test_blocks_split_anywhere(block, monkeypatch):
     assert_blocks_match_oracle(run_strategy(rotation(8), LEFTMOST_NOT_HOME))
     for trace in runs(4):
         assert_blocks_match_oracle(trace)
+
+
+# -- the steppers against per-step value choosers ----------------------------------
+
+def remainder_is_reverse(p):
+    rem = placeable_values(p)
+    return len(rem) >= 2 and all(a > b for a, b in zip(rem, rem[1:]))
+
+
+def choose_alternating(p):
+    lo, hi = min(placeable_values(p)), max(placeable_values(p))
+    return hi if remainder_is_reverse(place(p, lo)) and not remainder_is_reverse(place(p, hi)) else lo
+
+
+def choose_leftmost(p):
+    return next(v for q, v in enumerate(p, 1) if v != q)  # rescanned from position 1
+
+
+CHOOSERS = {
+    SMALLEST_FIRST: lambda p: min(placeable_values(p)),
+    LARGEST_FIRST: lambda p: max(placeable_values(p)),
+    ALTERNATING_EXTREMAL: choose_alternating,
+    LEFTMOST_NOT_HOME: choose_leftmost,
+}
+
+
+def random_chooser(seed):
+    rng = random.Random(seed & 0xFFFFFFFFFFFFFFFF)
+
+    def choose(p):
+        candidates = placeable_values(p)
+        return candidates[rng.randrange(len(candidates))]
+
+    return choose
+
+
+def oracle_run(p, strategy, seed):
+    """The values a run places, each chosen from the whole state and
+    replayed with ``place``, and the states it passes through."""
+    choose = random_chooser(seed) if strategy == RANDOM else CHOOSERS[strategy]
+    moves, states = [], [p]
+    while p != identity(len(p)):
+        v = choose(p)
+        p = place(p, v)
+        moves.append(v)
+        states.append(p)
+    return tuple(moves), states
+
+
+def assert_run_matches_choosers(p, strategy, seed=None):
+    trace = run_strategy(p, strategy, seed=seed)
+    moves, states = oracle_run(p, strategy, seed)
+    assert trace.moves == moves
+    assert trace.final == states[-1]
+    assert trace._rows == array(strategies._row_type(len(p)), [v for q in states for v in q]).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_steppers_match_per_step_choosers(n):
+    """Every strategy on all of S_n, random under three seeds: the same
+    value at every step, and the same packed rows."""
+    for p in all_perms(n):
+        for strategy in STRATEGIES:
+            for seed in (1, 2, 3) if strategy == RANDOM else (None,):
+                assert_run_matches_choosers(p, strategy, seed)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_steppers_match_per_step_choosers_on_the_rotation(n):
+    for strategy in STRATEGIES:
+        assert_run_matches_choosers(rotation(n), strategy, 1 if strategy == RANDOM else None)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_run_that_cycles_stops_at_the_step_bound(strategy, monkeypatch):
+    """A placement that swaps the last two values back and forth never
+    homes the rotation; the run raises after 2^(n-1) - 1 placements on its
+    row.  Alternating-extremal also places on copies of the row to look
+    ahead, so each row is counted on its own."""
+    n, rows = 6, []
+
+    def swap_last_two(row, q):
+        rows.append(row)  # held, so no two rows share an id
+        row[-1], row[-2] = row[-2], row[-1]
+        return row[q]
+
+    monkeypatch.setattr(strategies, "place_at", swap_last_two)
+    with pytest.raises(AssertionError, match="homing exceeded its proven step bound"):
+        run_strategy(rotation(n), strategy, seed=1 if strategy == RANDOM else None)
+    assert max(Counter(map(id, rows)).values()) == (1 << (n - 1)) - 1
 
 
 # -- step tables ----------------------------------------------------------------
