@@ -18,19 +18,19 @@ bijection with the canonical words.  Restricting right firings to short
 ones yields words in bijection with set partitions, which is where the
 Bell-number lower bound on the number of worst cases comes from.
 
-A firing is named by its letter only, and applied as one O(n) splice of
-the state, its net effect.  The splice resolves the letter against the
-code shape of the state it fires from, and refuses it with
-:class:`~homing.errors.WordError` unless 0 <= t <= i for L_t and
-0 <= t <= j for R_t, so each letter is checked once, as it fires.  The
-displacement block itself (:func:`firing_moves`) is kept as the paper's
-construction and as the oracle that ``homing.verify`` replays against the
-splice.  :func:`apply_letter` and :func:`firing_moves` take any state and
-read its shape from its code.
+A firing is named by its letter only, and applied as its net effect: one
+gather of the state's positions, fixed by n, the code shape of the state it
+fires from, and the letter, and made once for each.  Making it refuses the
+letter with :class:`~homing.errors.WordError` unless 0 <= t <= i for L_t
+and 0 <= t <= j for R_t, and a refusal is never cached, so each letter is
+checked as it fires.  The displacement block itself (:func:`firing_moves`)
+is kept as the paper's construction and as the oracle that
+``homing.verify`` replays against the gather.  :func:`apply_letter` and
+:func:`firing_moves` take any state and read its shape from its code.
 
 From the gateway the shape needs no reading: after l left and r right
 firings the code is +^r 0^(n-2-l-r) -^l, so :func:`apply_word` and
-:func:`walk` count letters and hand the shape to the splice.  There,
+:func:`walk` count letters and hand the shape to the gather.  There,
 L_t lands in range exactly when t is at most the rights so far, and R_t
 when t is at most the lefts so far, so :func:`apply_word` refuses exactly
 the words that :func:`check_word` refuses.  The
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .codes import code_of
@@ -144,7 +145,7 @@ def firing_moves(p: Perm, letter: FiringLetter) -> list[DisplacementMove]:
     applying it.
 
     Replaying the block one :func:`~homing.perms.displace` at a time is the
-    oracle for the splice that :func:`apply_letter` applies.
+    oracle for the gather that :func:`apply_letter` applies.
     """
     n = len(p)
     i, k, j = shape = _firable_shape(p)
@@ -156,19 +157,19 @@ def firing_moves(p: Perm, letter: FiringLetter) -> list[DisplacementMove]:
     return [DisplacementMove(n + 1 - v, n + 1 - t) for v, t in mirrored]
 
 
-def _fire(p: Perm, shape: tuple[int, int, int], letter: FiringLetter) -> Perm:
-    """The net effect of ``letter``'s whole displacement block on a state of
-    code shape ``shape``, in O(n)."""
-    s = _landing(shape, letter)
+@lru_cache(maxsize=1024)
+def _gather(n: int, shape: tuple[int, int, int], letter: FiringLetter) -> itemgetter:
+    """``letter``'s whole displacement block on a state of n values and code
+    shape (i, k, j), as one gather of positions.  L_t moves the value home at
+    position i+k+1 to its landing position s, positions s..i one to the right
+    and the value at i+1 to position i+k+1; R_t is the mirror image."""
+    s = _landing(shape, letter)  # raises before anything is cached
     i, k, _ = shape
     if letter.side == LEFT:
-        # value i+k+1 moves to position s, positions s..i shift right by one,
-        # and the value that was at position i+1 lands at position i+k+1
-        return p[:s - 1] + (i + k + 1,) + p[s - 1:i] + p[i + 1:i + k] + (p[i],) + p[i + k + 1:]
-    # the mirror image: value i+2 moves to position s, positions i+k+3..s
-    # shift left by one, and the value that was at position i+k+2 lands at
-    # position i+2
-    return p[:i + 1] + (p[i + k + 1],) + p[i + 2:i + k + 1] + p[i + k + 2:s] + (i + 2,) + p[s:]
+        order = [*range(s - 1), i + k, *range(s - 1, i), *range(i + 1, i + k), i, *range(i + k + 1, n)]
+    else:
+        order = [*range(i + 1), i + k + 1, *range(i + 2, i + k + 1), *range(i + k + 2, s), i + 1, *range(s, n)]
+    return itemgetter(*order)
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +178,7 @@ def _fire(p: Perm, shape: tuple[int, int, int], letter: FiringLetter) -> Perm:
 
 def apply_letter(p: Perm, letter: FiringLetter) -> Perm:
     """One firing, with the letter's offset resolved against the current code."""
-    return _fire(p, _firable_shape(p), letter)
-
-
-def _apply_counted(p: Perm, lefts: int, rights: int, letter: FiringLetter) -> Perm:
-    """:func:`apply_letter` on a state that ``lefts`` left and ``rights``
-    right firings made from the gateway, whose code is therefore
-    +^rights 0^(n-2-lefts-rights) -^lefts."""
-    return _fire(p, (rights, len(p) - 2 - lefts - rights, lefts), letter)
+    return _gather(len(p), _firable_shape(p), letter)(p)
 
 
 def _check_word_n(n: int) -> None:
@@ -205,7 +199,7 @@ def apply_word(word: FiringWord, n: int) -> Perm:
     p = swap_ends(n)
     lefts = rights = 0
     for letter in word:
-        p = _apply_counted(p, lefts, rights, letter)
+        p = _gather(n, (rights, n - 2 - lefts - rights, lefts), letter)(p)
         if letter.side == LEFT:
             lefts += 1
         else:
@@ -251,21 +245,23 @@ def is_canonical(word: FiringWord) -> bool:
 def canonicalize(word: FiringWord) -> FiringWord:
     """The unique equivalent word with every indexed right pulled leftwards.
 
-    Repeatedly rewrites an adjacent pair L_(t-1) R_s with s >= 1 into
-    R_(s-1) L_t; the result does not depend on the rewrite order, and the
-    state produced by :func:`apply_word` is unchanged.
+    Rewrites an adjacent pair L_(t-1) R_s with s >= 1 into R_(s-1) L_t in
+    one left-to-right pass: each indexed right moves left past the lefts
+    before it until its index runs out.  The rewrite is confluent, so the
+    order does not change the result, and the state produced by
+    :func:`apply_word` is unchanged.
     """
     check_word(word)
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(letters) - 1):
-            a, b = letters[idx], letters[idx + 1]
-            if _is_redex(a, b):
-                letters[idx] = R(b.index - 1)
-                letters[idx + 1] = L(a.index + 1)
-                changed = True
+    letters: list[FiringLetter] = []
+    for letter in word:
+        s = letter.index if letter.side == RIGHT else 0
+        m = 0  # the lefts just before it that this letter moves past
+        while m < s and m < len(letters) and letters[-1 - m].side == LEFT:
+            m += 1
+        if m:
+            letters[-m:] = [R(s - m), *(L(a.index + 1) for a in letters[-m:])]
+        else:
+            letters.append(letter)
     return tuple(letters)
 
 
@@ -307,12 +303,6 @@ def _words(length: int, keep) -> Iterator[FiringWord]:
             for letter in next_letters(word) if keep(word, letter))
 
 
-def valid_words(length: int) -> Iterator[FiringWord]:
-    """Every word of ``length`` letters that passes :func:`check_word`,
-    canonical or not."""
-    return _words(length, lambda word, letter: True)
-
-
 def canonical_words(n: int) -> Iterator[FiringWord]:
     """An iterator over the canonical words of length n-2, in depth-first order.
 
@@ -336,9 +326,10 @@ def walk(n: int, keep=_canonical) -> Iterator[tuple[FiringWord, Perm]]:
         word, p, lefts, rights = stack.pop()
         yield word, p
         if lefts + rights < n - 2:
+            shape = (rights, n - 2 - lefts - rights, lefts)
             for letter in reversed(_next_letters(lefts, rights)):
                 if keep(word, letter):
-                    q = _apply_counted(p, lefts, rights, letter)
+                    q = _gather(n, shape, letter)(p)
                     if letter.side == LEFT:
                         stack.append((word + (letter,), q, lefts + 1, rights))
                     else:
@@ -432,16 +423,25 @@ def _canonical_blocks(partition: SetPartition) -> SetPartition:
 # text forms
 # ---------------------------------------------------------------------------
 
+class _LetterText(dict):
+    """The text of each letter: looked up for the shared ones, made for any other."""
+
+    def __missing__(self, letter: FiringLetter) -> str:
+        return f"{letter.side}{letter.index}"
+
+
+_TEXT = _LetterText((letter, f"{letter.side}{letter.index}") for letter in _LEFTS + _RIGHTS)
+_RESTRICTED_TEXT = _LetterText({**_TEXT, R(0): "R"})
+
+
 def format_letter(letter: FiringLetter, restricted: bool = False) -> str:
-    if restricted and letter.side == RIGHT and letter.index == 0:
-        return "R"
-    return f"{letter.side}{letter.index}"
+    return (_RESTRICTED_TEXT if restricted else _TEXT)[letter]
 
 
 def format_word(word: FiringWord, restricted: bool = False) -> str:
     """Comma-separated text, e.g. ``L0,R1,R0,L1,R2,R1``; in restricted form
     short rights print as a bare ``R``."""
-    return ",".join(format_letter(let, restricted) for let in word)
+    return ",".join(map((_RESTRICTED_TEXT if restricted else _TEXT).__getitem__, word))
 
 
 def parse_word(text: str) -> FiringWord:

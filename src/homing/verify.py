@@ -9,7 +9,7 @@ rather than restating them.  The checks deliberately use
 independent machinery where one exists (a longest-path worklist against
 the Kahn-round tables, the weight kernel against the binary readings and
 :func:`homing.codes.weight`, the per-displacement firing cascade against
-the splice, and so on).  Exhaustive passes read the library's own layers:
+the gather, and so on).  Exhaustive passes read the library's own layers:
 the weight kernel, the Kahn height table, the strategy step tables
 (:func:`homing.strategies.step_table`) and :func:`homing.firings.walk`.
 
@@ -553,7 +553,7 @@ def check_mn_code_shape(n: int) -> Cases:
 def check_firing_steps(n: int) -> Cases:
     # fires every legal letter from every reachable prefix state once: the
     # letter's displacement block, the oracle, is replayed one displacement
-    # at a time and must end where apply_letter's splice does, with the code
+    # at a time and must end where apply_letter's gather does, with the code
     # and the landing value the firing promises
     weight_of = lru_cache(maxsize=None)(weight)  # codes of length n - 2 recur only within n
     for word, p in walk(n):
@@ -580,7 +580,7 @@ def check_firing_steps(n: int) -> Cases:
             if code != after or q[s - 1] != landed:
                 yield f"n={n} {format_word(fired)}: code {code}, {q[s - 1]} at position {s}"
             yield None if q == apply_letter(p, letter) else (
-                f"n={n} {format_word(fired)}: splice and cascade disagree"
+                f"n={n} {format_word(fired)}: gather and cascade disagree"
             )
 
 

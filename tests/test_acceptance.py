@@ -151,7 +151,7 @@ def test_firing_words_biject_onto_worst_cases():
     """For n <= 9 the canonical words map bijectively onto the worst-case
     set.  Every legal letter is fired once from every state a canonical
     prefix reaches: each firing spends exactly 2^(k-1) legal displacements,
-    each raising the weight by exactly one, and ends where the splice does,
+    each raising the weight by exactly one, and ends where the gather does,
     with the promised code and landing value."""
     passes(verify.check_word_bijection, 9)
     firings = passes(verify.check_firing_steps, 9)

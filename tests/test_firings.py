@@ -35,7 +35,6 @@ from homing.firings import (
     partition_to_word,
     restricted_words,
     short_firing_image,
-    valid_words,
     walk,
     word_to_partition,
 )
@@ -96,7 +95,7 @@ def test_firing_target_validation():
         apply_letter(t5, R(-1))  # position 4, but right targets start at i+k+2 = 5
 
 
-# bad input, and the error that both the splice and the displacement block raise
+# bad input, and the error that both the gather and the displacement block raise
 @pytest.mark.parametrize(
     "fire, p, arg, error",
     [
@@ -147,14 +146,21 @@ def test_apply_word_refuses_exactly_what_check_word_refuses(n):
     # side: apply_word checks each letter as it fires it, with no word pass
     alphabet = [L(t) for t in range(-1, n - 1)] + [R(t) for t in range(-1, n - 1)]
     alphabet.append(FiringLetter("X", 0))
+    # each word is fired twice: a refusal raised while a gather is made is
+    # never cached, so the second firing must refuse it the same way
     for word in itertools.product(alphabet, repeat=n - 2):
         try:
             check_word(word)
         except WordError:
-            with pytest.raises(WordError):
-                apply_word(word, n)
+            refusals = set()
+            for _ in range(2):
+                with pytest.raises(WordError) as caught:
+                    apply_word(word, n)
+                refusals.add(str(caught.value))
+            assert len(refusals) == 1
         else:
-            apply_word(word, n)
+            assert apply_word(word, n) == apply_word(word, n)
+    assert firings._gather.cache_info().maxsize is not None
 
 
 def test_canonicalize_example():
@@ -166,13 +172,25 @@ def test_canonicalize_example():
     assert not is_canonical(word)
 
 
-@pytest.mark.parametrize("length", range(0, 5))
+@pytest.mark.parametrize("length", range(0, 7))
 def test_canonicalize_confluent_and_invariant(length):
     assert check_confluence(length + 2).passed
 
 
+def words_passing_check_word(length):
+    """Every word of ``length`` letters that :func:`check_word` accepts, in
+    the depth-first order of :func:`walk`: the oracle for keep=all."""
+    alphabet = [L(t) for t in range(length)] + [R(t) for t in range(length)]
+    for word in itertools.product(alphabet, repeat=length):
+        try:
+            check_word(word)
+        except WordError:
+            continue
+        yield word
+
+
 def test_canonical_classes_count_length4():
-    classes = {canonicalize(w) for w in valid_words(4)}
+    classes = {canonicalize(w) for w in words_passing_check_word(4)}
     assert len(classes) == 62
     assert classes == set(canonical_words(6))
 
@@ -259,8 +277,8 @@ def test_walk_matches_apply_word(n):
 @pytest.mark.parametrize("n", range(2, 7))
 def test_walk_keeps_the_letters_it_is_told(n):
     every = [word for word, _ in walk(n, keep=lambda word, letter: True)]
-    assert [w for w in every if len(w) == n - 2] == list(valid_words(n - 2))
-    assert len(every) == sum(len(list(valid_words(m))) for m in range(n - 1))
+    assert [w for w in every if len(w) == n - 2] == list(words_passing_check_word(n - 2))
+    assert len(every) == sum(len(list(words_passing_check_word(m))) for m in range(n - 1))
     shorts = [w for w, _ in walk(n, keep=lambda word, letter: letter.index == 0)]
     assert len(shorts) == (1 << (n - 1)) - 1
     assert all(letter.index == 0 for w in shorts for letter in w)
@@ -277,10 +295,9 @@ def test_walk_needs_two_values():
 def test_word_listings_refuse_bad_lengths_when_called():
     # refused by the call itself, before any word is drawn; a negative length
     # used to recurse until RecursionError at the first word
-    for words in (valid_words, restricted_words):
-        with pytest.raises(InputError, match="length must be >= 0, got -1"):
-            words(-1)
-        assert list(words(0)) == [()]
+    with pytest.raises(InputError, match="length must be >= 0, got -1"):
+        restricted_words(-1)
+    assert list(restricted_words(0)) == [()]
     for n in (1, 0):
         for refuse in (canonical_words, lambda n: apply_word((), n), lambda n: next(walk(n))):
             with pytest.raises(InputError, match=f"words need n >= 2, got {n}"):
