@@ -4,9 +4,20 @@ Homing the rotation 2,3,...,n,1 by always placing the leftmost out-of-place
 value walks the tower-of-Hanoi pattern.  Exhaustive height tables (longest
 placement distance to the identity, state by state) confirm that
 2^(n-1) - 1 is the exact ceiling, and count how many permutations reach it.
+A table saves to disk and loads back unchanged, and over S_6 each state's
+height is that of its reverse-complement, the end-for-end mirror image.
 """
-from homing import format_perm, rotation, swap_ends
-from homing.heights import build_height_table, height, stage1_longest
+import os
+import tempfile
+
+from homing import all_perms, format_perm, reverse_complement, rotation, swap_ends
+from homing.heights import (
+    build_height_table,
+    height,
+    load_height_table,
+    save_height_table,
+    stage1_longest,
+)
 from homing.strategies import LEFTMOST_NOT_HOME, run_strategy
 
 trace = run_strategy(rotation(4), LEFTMOST_NOT_HOME)
@@ -28,6 +39,15 @@ table = build_height_table(6)
 print("height histogram for n=6 (height: how many permutations):")
 hist = table.histogram()
 print(" ", {h: c for h, c in enumerate(hist) if c})
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "heights6.homh")
+    save_height_table(table, path)
+    loaded = load_height_table(path)
+    size = os.path.getsize(path)
+same = loaded.n == table.n and (loaded.heights == table.heights).all()
+print(f"  saved to a {size}-byte file and loaded back: equal = {same}")
+mirrored = all(table.height_of(reverse_complement(p)) == table.height_of(p) for p in all_perms(6))
+print(f"  heights unchanged under reverse-complement over S_6: {mirrored}")
 print()
 
 print("every eviction run that never moves the value 1 stops at 2^(n-2)-1:")

@@ -24,7 +24,6 @@ from .perms import (
     displacement_successors,
     format_perm,
     identity,
-    is_permutation,
     lis_length,
     parse_perm,
     place,
@@ -70,7 +69,6 @@ __all__ = [
     "displacement_successors",
     "format_perm",
     "identity",
-    "is_permutation",
     "lis_length",
     "parse_code",
     "parse_perm",

@@ -125,7 +125,7 @@ def _scalar(value, label: str, fmt: str) -> str:
 
 def _cmd_trace(args) -> int:
     trace = run_strategy(parse_perm(args.perm), args.strategy, seed=args.seed)
-    _write_bytes(trace._text(), args.out)
+    _write_bytes(trace.text(), args.out)
     return 0
 
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--nmax",
         type=_verify_nmax,
         default=7,
-        help="scale cap, at least 3 (default 7); 10 or more builds all of S_10 (about 8 s, 122 MB peak)",
+        help="scale cap, at least 3 (default 7); 10 or more builds all of S_10",
     )
 
     return parser

@@ -22,7 +22,7 @@ import numpy as np
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
 from .perms import Perm, as_perm, placement_successors, rank
-from .successors import DEFAULT_CAP, check_cap, release_rounds, unrank_rows
+from .successors import DEFAULT_CAP, check_cap, check_search_cap, release_rounds, unrank_rows
 
 _MAGIC = b"HOMH"
 _VERSION = 1
@@ -75,7 +75,7 @@ def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
     beneath them finishes it.  ``path`` holds the entered but unfinished
     states, so reaching one of them again is a cycle."""
     p = as_perm(p)
-    check_cap(len(p), cap)
+    check_search_cap(len(p), cap)
     memo: dict[Perm, int] = {}
     path: set[Perm] = set()
     stack: list[tuple[Perm, set[Perm] | None]] = [(p, None)]

@@ -64,20 +64,6 @@ def as_perm(values: Iterable[SupportsIndex]) -> Perm:
     return tuple(seen)
 
 
-def is_permutation(values: Iterable[SupportsIndex]) -> bool:
-    """True if ``values`` is a permutation of 1..len(values): whether
-    :func:`as_perm` accepts it.
-
-    >>> is_permutation((2, 1, 3)), is_permutation((1, 1, 2))
-    (True, False)
-    """
-    try:
-        as_perm(values)
-    except ParseError:
-        return False
-    return True
-
-
 def identity(n: int) -> Perm:
     """The sorted arrangement 1, 2, ..., n."""
     _check_n(n)
@@ -293,7 +279,8 @@ def rank(p: Perm) -> int:
 
 
 def unrank(n: int, r: int) -> Perm:
-    """Inverse of :func:`rank`.
+    """Inverse of :func:`rank`, one state at a time: the oracle for
+    :func:`homing.successors.unrank_rows`, which decodes many ranks at once.
 
     >>> unrank(3, 5)
     (3, 2, 1)

@@ -29,7 +29,9 @@ The run's codes, weights and text are computed per block of up to
 ``_BLOCK`` steps of that buffer, read as a matrix: one scatter gives the
 positions, the weight kernel of :mod:`homing.successors` the codes and
 weights (:func:`code_signs`, :func:`code_weights`), and byte tables the
-text, which the CLI writes as it comes, with no round trip through ``str``.
+text.  A trace has two readers: :meth:`Trace.steps`, one record per step,
+and :meth:`Trace.text`, ASCII bytes per block, which the CLI writes as
+they come, with no round trip through ``str``.
 :func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
 definition, and the tests compare the blocks with them.
 
@@ -56,6 +58,7 @@ from .perms import Perm, _check_n, as_perm, identity, place, place_at, placeable
 from .successors import (
     DEFAULT_CAP,
     check_cap,
+    check_search_cap,
     code_signs,
     code_weights,
     place_rows,
@@ -110,12 +113,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def states(self) -> Iterator[Perm]:
-        """The state after each move (``len(self)`` states, ending at final)."""
-        n = len(self.initial)
-        values = iter(memoryview(self._rows).cast(_row_type(n))[n:])
-        return zip(*[values] * n)  # each tuple takes the next n values
-
     def steps(self) -> Iterator[TraceStep]:
         """Full per-step records, with codes and weights computed per block."""
         for b in self._blocks():
@@ -126,20 +123,10 @@ class Trace:
             for r, (v, source, state, w) in enumerate(rows):
                 yield TraceStep(b.start + r, v, source, v, state, codes[r * k : (r + 1) * k], w)
 
-    def lines(self) -> Iterator[str]:
+    def text(self) -> Iterator[bytes]:
         """The tab-separated text form, one line per step: index, value,
-        source, target, state, code, weight."""
-        for chunk in self.text_blocks():
-            yield from chunk.splitlines()
-
-    def text_blocks(self) -> Iterator[str]:
-        """The lines of :meth:`lines`, each ending in a newline, joined into
-        one string per block of up to ``_BLOCK`` steps."""
-        return (chunk.decode() for chunk in self._text())
-
-    def _text(self) -> Iterator[bytes]:
-        """:meth:`text_blocks` as ASCII bytes, which the CLI writes as they
-        are."""
+        source, target, state, code, weight.  ASCII bytes, one chunk per
+        block of up to ``_BLOCK`` steps, each line ending in a newline."""
         n = len(self.initial)
         # every value's text followed by "," or a tab, NUL-padded to a
         # power-of-two width so that one gather copies a whole cell
@@ -303,28 +290,19 @@ _STEPPERS: dict[str, Callable[[MutableSequence[int]], Iterator[int]]] = {
 }
 
 
-# the steppers' rules over many rows at once, for the step tables
+# the steppers' rules over many rows at once, for the step tables: with f
+# and l a row's first and last out-of-place columns, smallest-first places
+# f+1, largest-first l+1 and leftmost-not-home the value at f
 
-def _fold_away(rows: np.ndarray, pick: Callable, start: int) -> np.ndarray:
-    """Each row's out-of-place values, in positional order, folded into one
-    value per row with ``pick`` from ``start``."""
-    best = np.full(len(rows), start, rows.dtype)
-    for home, column in enumerate(rows.T, 1):
-        away = column != home
-        best[away] = pick(best[away], column[away])
-    return best
-
-
-def _smallest_rows(rows: np.ndarray) -> np.ndarray:
-    return _fold_away(rows, np.minimum, rows.shape[1] + 1)
-
-
-def _largest_rows(rows: np.ndarray) -> np.ndarray:
-    return _fold_away(rows, np.maximum, 0)
+def _first_last_away(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first and last out-of-place columns f and l, 0-based."""
+    away = rows != np.arange(1, rows.shape[1] + 1, dtype=rows.dtype)
+    return away.argmax(axis=1), away.shape[1] - 1 - away[:, ::-1].argmax(axis=1)
 
 
 def _leftmost_rows(rows: np.ndarray) -> np.ndarray:
-    return _fold_away(rows, lambda best, v: np.where(best == 0, v, best), 0)
+    f, _ = _first_last_away(rows)
+    return place_rows(rows, rows[np.arange(len(rows)), f])
 
 
 def _remainder_is_reverse_rows(rows: np.ndarray) -> np.ndarray:
@@ -344,16 +322,17 @@ def _remainder_is_reverse_rows(rows: np.ndarray) -> np.ndarray:
 def _alternating_rows(rows: np.ndarray) -> np.ndarray:
     # both placements, then the rule of _alternating_extremal row by row; a
     # state that is not the identity has two out-of-place values at least
-    lo, hi = place_rows(rows, _smallest_rows(rows)), place_rows(rows, _largest_rows(rows))
+    f, l = _first_last_away(rows)
+    lo, hi = place_rows(rows, f + 1), place_rows(rows, l + 1)
     take_hi = _remainder_is_reverse_rows(lo) & ~_remainder_is_reverse_rows(hi)
     return np.where(take_hi[:, None], hi, lo)
 
 
 _ROW_STEPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    SMALLEST_FIRST: lambda rows: place_rows(rows, _smallest_rows(rows)),
-    LARGEST_FIRST: lambda rows: place_rows(rows, _largest_rows(rows)),
+    SMALLEST_FIRST: lambda rows: place_rows(rows, _first_last_away(rows)[0] + 1),
+    LARGEST_FIRST: lambda rows: place_rows(rows, _first_last_away(rows)[1] + 1),
     ALTERNATING_EXTREMAL: _alternating_rows,
-    LEFTMOST_NOT_HOME: lambda rows: place_rows(rows, _leftmost_rows(rows)),
+    LEFTMOST_NOT_HOME: _leftmost_rows,
 }
 
 
@@ -451,7 +430,7 @@ def min_placements(p: Perm, cap: int = DEFAULT_CAP) -> int:
     """
     p = as_perm(p)
     n = len(p)
-    check_cap(n, cap)
+    check_search_cap(n, cap)
     target = identity(n)
     if p == target:
         return 0

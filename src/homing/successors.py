@@ -73,9 +73,7 @@ def check_cap(n: int, cap: int) -> None:
     :func:`layer_bytes` estimate.  Every table over S_n holds about that
     plus one slice's work: at n = 10 the estimate is 54 MB, and the peak
     RSS of a fresh process is 89 MB for the height table, 108 MB for the
-    shortest-sort table and 84 MB for the alternating-extremal step table.
-    The per-state searches refuse a permutation longer than their cap,
-    though they keep only the states they reach from it, and no table."""
+    shortest-sort table and 84 MB for the alternating-extremal step table."""
     _check_n(n)
     if n > cap:
         held = layer_bytes(n)
@@ -84,6 +82,18 @@ def check_cap(n: int, cap: int) -> None:
             f"n={n} exceeds the cap {cap} ({factorial(n)} states, "
             f"about {size}: n!*(n+5) bytes plus the frontier); "
             f"raise the cap explicitly to proceed"
+        )
+
+
+def check_search_cap(n: int, cap: int) -> None:
+    """Refuse n < 1, or n beyond ``cap``, for a per-state search.  Such a
+    search keeps only the states it reaches, and no table, so the refusal
+    names no table estimate."""
+    _check_n(n)
+    if n > cap:
+        raise CapacityError(
+            f"n={n} exceeds the cap {cap}; the search keeps only the states it reaches, "
+            f"so it has no table size to estimate; raise the cap explicitly to proceed"
         )
 
 

@@ -66,7 +66,7 @@ def test_hanoi_trace():
         assert len(run_strategy(rotation(n), LEFTMOST_NOT_HOME)) == (1 << (n - 1)) - 1
     start = time.perf_counter()
     trace = run_strategy(rotation(20), LEFTMOST_NOT_HOME)  # every placement validates
-    lines = sum(chunk.count("\n") for chunk in trace.text_blocks())
+    lines = sum(chunk.count(b"\n") for chunk in trace.text())
     elapsed = time.perf_counter() - start
     assert len(trace) == lines == (1 << 19) - 1 == 524287
     assert trace.final == identity(20)

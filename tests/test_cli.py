@@ -210,6 +210,16 @@ def test_min_steps_takes_the_one_default_cap(capsys):
     assert code == 2 and out == "" and "n=11 exceeds the cap 10" in err
 
 
+@pytest.mark.parametrize("command", ["height", "min-steps"])
+def test_a_per_state_search_refusal_names_no_table_size(capsys, command):
+    """The search keeps only the states it reaches, never a table of n!
+    states, so its refusal names no MB or bytes figure."""
+    code, out, err = run_cli(capsys, command, "--perm", ",".join(map(str, range(1, 15))))
+    assert code == 2 and out == ""
+    assert "n=14 exceeds the cap 10" in err and "keeps only the states it reaches" in err
+    assert "MB" not in err and "bytes" not in err
+
+
 @pytest.mark.parametrize(
     "name, error, failed",
     [
@@ -302,14 +312,14 @@ class Interrupted(BaseException):
 def test_interrupted_out_leaves_the_old_file(tmp_path, monkeypatch):
     out_file = tmp_path / "trace.txt"
     out_file.write_text("old\n")
-    whole = Trace._text  # the byte blocks the handler writes
+    whole = Trace.text  # the byte blocks the handler writes
 
     def cut(self):
         blocks = whole(self)
         yield next(blocks)
         raise Interrupted
 
-    monkeypatch.setattr(Trace, "_text", cut)
+    monkeypatch.setattr(Trace, "text", cut)
     with pytest.raises(Interrupted):
         main(["trace", "--perm", "2,3,4,5,1", "--strategy", "leftmost-not-home", "--out", str(out_file)])
     assert out_file.read_text() == "old\n"

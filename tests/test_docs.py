@@ -1,5 +1,6 @@
-"""Every cross-reference in the package's source names something that
-exists, and the README's command-line table matches the parser.
+"""Every cross-reference in the package's source, and every dotted
+``homing`` name in the README, names something that exists, and the
+README's command-line table matches the parser.
 
 A docstring or comment that names a function, class, module, method or
 datum with ``:func:``, ``:class:``, ``:mod:``, ``:meth:`` or ``:data:`` must
@@ -20,6 +21,8 @@ import homing
 from homing.cli import FORMATS
 
 REFERENCE = re.compile(r":(func|mod|class|meth|data):`~?\.?([\w.]+)`")
+README_NAME = re.compile(r"`(homing(?:\.\w+)+)`")
+README = Path(__file__).resolve().parents[1] / "README.md"
 MISSING = object()
 # importing homing.__main__ runs the CLI, so its source is not searched
 MODULES = ["homing"] + [
@@ -70,7 +73,7 @@ def references(module_name):
 
 def test_references_are_found():
     assert sum(len(references(m)) for m in MODULES) > 50
-    assert ("meth", "lines") in references("homing.strategies")
+    assert ("meth", "Trace.text") in references("homing.strategies")
     assert ("data", "FORMATS") in references("homing.cli")
 
 
@@ -91,6 +94,13 @@ def test_a_stale_reference_fails():
     assert resolve(firings, "meth", "lines") is MISSING  # no class of firings has it
 
 
+def test_readme_names_resolve():
+    names = README_NAME.findall(README.read_text())
+    assert "homing.successors.DEFAULT_CAP" in names and "homing.perms" in names
+    for name in names:
+        assert resolve(homing, "data", name) is not MISSING, f"README.md: `{name}` names nothing"
+
+
 def command_table(readme):
     """Subcommand -> the formats its row lists, from the README's
     command-line table."""
@@ -103,6 +113,6 @@ def command_table(readme):
 
 
 def test_readme_command_table_matches_formats():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     assert all(accepted[0] == default for default, accepted in FORMATS.values())
     assert command_table(readme) == {name: list(accepted) for name, (_, accepted) in FORMATS.items()}

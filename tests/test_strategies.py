@@ -86,8 +86,9 @@ def test_extremal_strategies_bounded_and_stage_monotone(n, strategy):
         assert len(t) <= n - 1 or (n == 1 and len(t) == 0)
         assert_valid_trace(t)
         s = stage(p)
-        for q in t.states():
-            s2 = stage(q)
+        for v in t.moves:
+            p = place(p, v)
+            s2 = stage(p)
             assert s2 >= s  # a settled extreme is never dislodged
             s = s2
 
@@ -172,7 +173,7 @@ def test_traces_compare_by_their_public_fields():
 
 def test_trace_lines_format():
     t = run_strategy((4, 1, 3, 5, 2), SMALLEST_FIRST)
-    lines = list(t.lines())
+    lines = b"".join(t.text()).decode().splitlines()
     assert len(lines) == len(t)
     first = lines[0].split("\t")
     assert len(first) == 7
@@ -197,15 +198,13 @@ def oracle_line(s):
 
 
 def assert_blocks_match_oracle(trace):
-    """Steps, lines, states and the final state, each read from the packed
-    rows, against ``place`` replaying the moves from the initial state."""
+    """Steps, text and the final state, each read from the packed rows,
+    against ``place`` replaying the moves from the initial state."""
     expected = list(oracle_steps(trace))
     steps = list(trace.steps())
     assert steps == expected
-    assert list(trace.lines()) == [oracle_line(s) for s in expected]
-    states = list(trace.states())
-    assert states == [s.result for s in expected]
-    assert all(type(v) is int for p in states + [s.result for s in steps] for v in p)
+    assert b"".join(trace.text()).decode() == "".join(oracle_line(s) + "\n" for s in expected)
+    assert all(type(v) is int for s in steps for v in s.result)
     assert trace.final == (expected[-1].result if expected else trace.initial)
 
 
@@ -223,14 +222,13 @@ def test_blocks_match_per_step_oracle(n):
     lines."""
     for trace in runs(n):
         assert_blocks_match_oracle(trace)
-    assert list(run_strategy(identity(n), SMALLEST_FIRST).text_blocks()) == []
+    assert list(run_strategy(identity(n), SMALLEST_FIRST).text()) == []
 
 
 @pytest.mark.parametrize("n", range(2, 15))
 def test_rotation_blocks_match_per_step_oracle(n):
     trace = run_strategy(rotation(n), LEFTMOST_NOT_HOME)
     assert_blocks_match_oracle(trace)
-    assert "".join(trace.text_blocks()) == "".join(oracle_line(s) + "\n" for s in oracle_steps(trace))
 
 
 def test_blocks_for_n_above_255():
@@ -246,8 +244,8 @@ def test_packed_row_widths(n, row_bytes):
     a row below n = 256, 2n below 65,536 and 4n beyond."""
     p = (2, 1) + tuple(range(3, n + 1))
     trace = run_strategy(p, SMALLEST_FIRST)
-    assert trace.moves == (1,)
-    assert list(trace.states()) == [trace.final] == [identity(n)]
+    assert trace.moves == (1,) and trace.final == identity(n)
+    assert array(strategies._row_type(n), trace._rows).tolist() == list(p + identity(n))
     assert len(trace._rows) == 2 * n * row_bytes
 
 
