@@ -61,7 +61,7 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a producer the pipe killed
 CAP_HELP = (
-    f"largest n (permutation length) to accept; a larger one is refused before any work "
+    f"largest --n to accept; a larger one is refused before any work, with its table size "
     f"(default {DEFAULT_CAP})"
 )
 
@@ -131,14 +131,14 @@ def _cmd_trace(args) -> int:
 
 def _cmd_height(args) -> int:
     p = parse_perm(args.perm)
-    h = height(p, cap=args.cap)
+    h = height(p)
     _write_output([_scalar(h, "height", args.format)], args.out)
     return 0
 
 
 def _cmd_min_steps(args) -> int:
     p = parse_perm(args.perm)
-    d = min_placements(p, cap=args.cap)
+    d = min_placements(p)
     _write_output([_scalar(d, "min_placements", args.format)], args.out)
     return 0
 
@@ -286,11 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("height", _cmd_height, "longest placement distance to the identity")
     sp.add_argument("--perm", required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
     sp = add("min-steps", _cmd_min_steps, "shortest placement distance to the identity")
     sp.add_argument("--perm", required=True)
-    sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help=CAP_HELP)
 
     sp = add("enum-mn", _cmd_enum_mn, "enumerate the worst-case permutations of size n")
     sp.add_argument("--n", type=int, required=True)

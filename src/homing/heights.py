@@ -21,24 +21,38 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
-from .perms import Perm, as_perm, placement_successors, rank
-from .successors import DEFAULT_CAP, check_cap, check_search_cap, release_rounds, unrank_rows
+from .perms import Perm, _check_n, as_perm, placement_successors, rank
+from .successors import DEFAULT_CAP, check_cap, check_search, release_rounds, unrank_rows
 
 _MAGIC = b"HOMH"
 _VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeightTable:
     """Heights of every permutation of 1..n, indexed by factorial rank.
 
-    The table marks its array read-only, so it can be shared freely."""
+    The table marks its array read-only, so it can be shared freely.  Two
+    tables are equal when their n and every height agree, and the hash
+    reads n alone, so it copies nothing."""
 
     n: int
     heights: np.ndarray  # int32, length n!, read-only
 
     def __post_init__(self) -> None:
+        if len(self.heights) != factorial(self.n):
+            raise InputError(
+                f"a table for n = {self.n} holds {factorial(self.n):,} heights, got {len(self.heights):,}"
+            )
         self.heights.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HeightTable):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.heights, other.heights)
+
+    def __hash__(self) -> int:
+        return hash(self.n)
 
     def height_of(self, p: Perm) -> int:
         if len(p) != self.n:
@@ -67,15 +81,19 @@ def build_height_table(n: int, cap: int = DEFAULT_CAP) -> HeightTable:
     return HeightTable(n, np.frombuffer(heights.tobytes(), np.int32))
 
 
-def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
+def height(p: Perm) -> int:
     """Height of a single permutation, exploring only its reachable states.
 
     A depth-first search: a pending entry ``(state, None)`` enters its state
     and pushes its successors, and the entry ``(state, successors)`` left
     beneath them finishes it.  ``path`` holds the entered but unfinished
-    states, so reaching one of them again is a cycle."""
+    states, so reaching one of them again is a cycle.  The search holds the
+    states of ``memo`` and ``path``, and refuses once they exceed
+    :data:`homing.successors.SEARCH_LIMIT` over n (3,024,000 at n = 12),
+    which no state of n <= 10 can reach."""
     p = as_perm(p)
-    check_search_cap(len(p), cap)
+    n = len(p)
+    _check_n(n)
     memo: dict[Perm, int] = {}
     path: set[Perm] = set()
     stack: list[tuple[Perm, set[Perm] | None]] = [(p, None)]
@@ -88,6 +106,7 @@ def height(p: Perm, cap: int = DEFAULT_CAP) -> int:
             raise CycleError(f"placement digraph cycle through {state}")
         elif state not in memo:
             path.add(state)
+            check_search(n, len(memo) + len(path))
             succs = placement_successors(state)
             stack.append((state, succs))
             stack.extend((q, None) for q in succs if q not in memo)

@@ -11,8 +11,9 @@ inverse: it evicts a value that currently sits at home.  Both are pure
 functions on tuples, so everything here is safe to share across threads.
 ``place_at`` is the one placement routine: it places the value at a given
 position of a mutable row (a list, a ``bytearray`` or an ``array.array``),
-and ``place`` runs it on a copy, from the position of the value it names.  ``as_perm`` is the one validity check, which every
-search or run toward the identity makes on the state it is given.
+and ``place`` runs it on a copy, from the position of the value it names.
+``as_perm`` is the one validity check, which every search or run toward the
+identity makes on the state it is given.
 """
 from __future__ import annotations
 
@@ -154,6 +155,8 @@ def place(p: Perm, value: int) -> Perm:
     >>> place((4, 1, 3, 5, 2), 1)
     (1, 4, 3, 5, 2)
     """
+    if not 1 <= value <= len(p):
+        raise InvalidMoveError(f"cannot place {value}: not a value of 1..{len(p)}")
     items = list(p)
     place_at(items, items.index(value))
     return tuple(items)

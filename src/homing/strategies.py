@@ -54,11 +54,11 @@ from typing import Callable, Iterator, MutableSequence, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError
-from .perms import Perm, _check_n, as_perm, identity, place, place_at, placeable_values
+from .perms import Perm, _check_n, as_perm, identity, place_at, placeable_values, placement_successors
 from .successors import (
     DEFAULT_CAP,
     check_cap,
-    check_search_cap,
+    check_search,
     code_signs,
     code_weights,
     place_rows,
@@ -422,15 +422,17 @@ def step_counts(table: np.ndarray, limit: int) -> np.ndarray:
 # shortest sorts
 # ---------------------------------------------------------------------------
 
-def min_placements(p: Perm, cap: int = DEFAULT_CAP) -> int:
+def min_placements(p: Perm) -> int:
     """Fewest placements that sort ``p``, by BFS over the placement digraph,
-    keeping the states it has reached.
+    keeping the states it has reached.  It refuses once those exceed
+    :data:`homing.successors.SEARCH_LIMIT` over n (3,024,000 at n = 12),
+    which no state of n <= 10 can reach.
 
     Always lies between n - lis_length(p) and n - 1.
     """
     p = as_perm(p)
     n = len(p)
-    check_search_cap(n, cap)
+    _check_n(n)
     target = identity(n)
     if p == target:
         return 0
@@ -441,12 +443,12 @@ def min_placements(p: Perm, cap: int = DEFAULT_CAP) -> int:
         depth += 1
         nxt = []
         for state in frontier:
-            for v in placeable_values(state):
-                q = place(state, v)
+            for q in placement_successors(state):
                 if q == target:
                     return depth
                 if q not in seen:
                     seen.add(q)
+                    check_search(n, len(seen))
                     nxt.append(q)
         frontier = nxt
 

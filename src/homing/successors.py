@@ -34,6 +34,12 @@ and :func:`step_ranks` steps one slice at a time.  So a pass holds about
 the :func:`layer_bytes` that :func:`check_cap` names, whatever its widest
 round, and every table is the one an unsliced pass gives.
 
+A per-state search (:func:`homing.heights.height`,
+:func:`homing.strategies.min_placements`) builds no table: it keeps only the
+states it reaches, and :func:`check_search` refuses it once those states,
+times n, exceed :data:`SEARCH_LIMIT`, the 36,288,000 entries of S_10.  At
+n <= 10 a search holds at most n! states, so it never reaches the limit.
+
 The layer lives apart from :mod:`homing.perms` and :mod:`homing.codes` so
 that the tuple-level API stays importable without numpy.  Everything here
 is pure; the one cache holds read-only index arrays.
@@ -52,7 +58,8 @@ from .perms import _check_n
 _MAX_RANK_N = 12  # 12! - 1 is the largest rank that fits in int32
 _SLICE = 1 << 15  # rows ranked or stepped per call in a pass over S_n
 
-DEFAULT_CAP = 10  # the largest n every exhaustive pass and search accepts by default
+DEFAULT_CAP = 10  # the largest n every exhaustive pass accepts by default
+SEARCH_LIMIT = factorial(DEFAULT_CAP) * DEFAULT_CAP  # the entries of S_10; see check_search
 
 
 def _check_int32_ranks(n: int, what: str) -> None:
@@ -85,15 +92,14 @@ def check_cap(n: int, cap: int) -> None:
         )
 
 
-def check_search_cap(n: int, cap: int) -> None:
-    """Refuse n < 1, or n beyond ``cap``, for a per-state search.  Such a
-    search keeps only the states it reaches, and no table, so the refusal
-    names no table estimate."""
-    _check_n(n)
-    if n > cap:
+def check_search(n: int, held: int) -> None:
+    """Refuse a per-state search over S_n that holds ``held`` states once
+    ``held * n`` exceeds :data:`SEARCH_LIMIT`, read at each call.  The
+    search keeps no table, so the refusal names states, not bytes."""
+    if held * n > SEARCH_LIMIT:
         raise CapacityError(
-            f"n={n} exceeds the cap {cap}; the search keeps only the states it reaches, "
-            f"so it has no table size to estimate; raise the cap explicitly to proceed"
+            f"n={n}: the search holds {held:,} states, more than its limit of "
+            f"{SEARCH_LIMIT // n:,} ({SEARCH_LIMIT:,} entries, n per state)"
         )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homing import CodeShapeError, CycleError, InputError, ParseError, WordError, cli, verify
+from homing import CodeShapeError, CycleError, InputError, ParseError, WordError, cli, successors, verify
 from homing.cli import BROKEN_PIPE, FORMATS, main
 from homing.firings import canonical_words, format_word
 from homing.heights import worst_case_permutations
@@ -199,25 +199,35 @@ def test_usage_errors(capsys):
     assert code == 2 and "Q1" in err
     code, _, err = run_cli(capsys, "bell-bijection", "--partition", "{1}{1,2}")
     assert code == 2
-    code, _, err = run_cli(capsys, "height", "--perm", "1,2,3,4,5,6,7,8,9,10,11", "--cap", "10")
-    assert code == 2 and "cap" in err
+    code, _, err = run_cli(capsys, "enum-mn", "--n", "11")
+    assert code == 2 and "exceeds the cap 10" in err
 
 
 def test_min_steps_takes_the_one_default_cap(capsys):
     code, out, _ = run_cli(capsys, "min-steps", "--perm", "2,1,3,4,5,6,7,8,9,10")
     assert code == 0 and out == "1\n"
-    code, out, err = run_cli(capsys, "min-steps", "--perm", "2,1,3,4,5,6,7,8,9,10,11")
-    assert code == 2 and out == "" and "n=11 exceeds the cap 10" in err
+    code, out, _ = run_cli(capsys, "min-steps", "--perm", "2,1,3,4,5,6,7,8,9,10,11")
+    assert code == 0 and out == "1\n"
 
 
 @pytest.mark.parametrize("command", ["height", "min-steps"])
-def test_a_per_state_search_refusal_names_no_table_size(capsys, command):
+def test_a_per_state_search_refusal_names_no_table_size(monkeypatch, capsys, command):
     """The search keeps only the states it reaches, never a table of n!
-    states, so its refusal names no MB or bytes figure."""
-    code, out, err = run_cli(capsys, command, "--perm", ",".join(map(str, range(1, 15))))
+    states, so its refusal names n and the states it holds, and no MB or
+    bytes figure."""
+    monkeypatch.setattr(successors, "SEARCH_LIMIT", 12 * 1000)
+    code, out, err = run_cli(capsys, command, "--perm", "7,8,9,10,11,12,1,2,3,4,5,6")
     assert code == 2 and out == ""
-    assert "n=14 exceeds the cap 10" in err and "keeps only the states it reaches" in err
+    assert "n=12: the search holds 1,001 states, more than its limit of 1,000" in err
     assert "MB" not in err and "bytes" not in err
+
+
+def test_height_takes_no_cap(capsys):
+    code, out, _ = run_cli(capsys, "height", "--perm", ",".join(map(str, range(2, 13))) + ",1")
+    assert code == 0 and out == "2047\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["height", "--perm", "2,1", "--cap", "10"])
+    assert exc.value.code == 2 and "unrecognized arguments: --cap 10" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -294,7 +304,7 @@ def test_library_errors_are_not_usage_errors(monkeypatch):
     """Only InputError and CapacityError mean bad input; a ValueError from
     inside the library is a bug and propagates."""
 
-    def broken(p, cap):
+    def broken(p):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(cli, "height", broken)

@@ -1,6 +1,6 @@
 """Every cross-reference in the package's source, and every dotted
 ``homing`` name in the README, names something that exists, and the
-README's command-line table matches the parser.
+README's command-line table and its common flags match the parser.
 
 A docstring or comment that names a function, class, module, method or
 datum with ``:func:``, ``:class:``, ``:mod:``, ``:meth:`` or ``:data:`` must
@@ -9,6 +9,7 @@ behind.  A dotted name starting with ``homing`` resolves from the package; any
 other name resolves in the module that holds the reference, and a ``:meth:``
 name against the classes of that module.
 """
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -18,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import homing
-from homing.cli import FORMATS
+from homing.cli import FORMATS, build_parser
 
 REFERENCE = re.compile(r":(func|mod|class|meth|data):`~?\.?([\w.]+)`")
 README_NAME = re.compile(r"`(homing(?:\.\w+)+)`")
@@ -116,3 +117,27 @@ def test_readme_command_table_matches_formats():
     readme = README.read_text()
     assert all(accepted[0] == default for default, accepted in FORMATS.values())
     assert command_table(readme) == {name: list(accepted) for name, (_, accepted) in FORMATS.items()}
+
+
+def flag_owners(readme, flag):
+    """The subcommands the README's "Common flags" sentence gives ``flag``:
+    the names in backticks after "`flag` on", up to the next parenthesis."""
+    sentence = readme.split("Common flags:", 1)[1]
+    listed = sentence.split(f"`{flag}` on ", 1)[1].split("(", 1)[0]
+    return set(re.findall(r"`([^`]+)`", listed))
+
+
+def parser_owners(flag):
+    """The subcommands whose subparser has the option ``flag``."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name
+        for name, sub in subparsers.choices.items()
+        if any(flag in action.option_strings for action in sub._actions)
+    }
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--seed"])
+def test_readme_common_flags_match_the_parser(flag):
+    assert flag_owners(README.read_text(), flag) == parser_owners(flag)

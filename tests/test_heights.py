@@ -203,6 +203,18 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_height_table(path)
     assert loaded.n == 5
     assert list(loaded.heights) == list(table.heights)
+    assert loaded == table and hash(loaded) == hash(table)
+
+
+def test_tables_compare_by_value():
+    a, b = build_height_table(3), build_height_table(3)
+    assert a == b and hash(a) == hash(b)
+    assert a != build_height_table(4)
+    changed = a.heights.copy()
+    changed[1] += 1
+    assert a != heights.HeightTable(3, changed)
+    with pytest.raises(InputError, match="holds 6 heights, got 5"):
+        heights.HeightTable(3, a.heights[:5])
 
 
 class Interrupted(BaseException):
@@ -340,12 +352,16 @@ def test_tables_are_read_only(tmp_path):
             t.heights.flags.writeable = True
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_height_beyond_the_tables(n):
+    assert height(rotation(n)) == (1 << (n - 1)) - 1
+
+
 def test_capacity_checks():
     # 11! * (11 + 5) bytes, named before anything is allocated
     with pytest.raises(CapacityError, match=r"about 639 MB"):
         build_height_table(11)
-    with pytest.raises(CapacityError):
-        height(tuple(range(1, 12)))
+    assert height(tuple(range(1, 12))) == 0
     with pytest.raises(CapacityError):
         stage1_longest(11)
     with pytest.raises(ValueError):

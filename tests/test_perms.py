@@ -63,6 +63,12 @@ def test_place_rejects_home_value():
         place((1, 3, 2), 1)
 
 
+@pytest.mark.parametrize("value", [3, 0])
+def test_place_rejects_a_value_outside_the_permutation(value):
+    with pytest.raises(InvalidMoveError, match=f"cannot place {value}: not a value of 1..2"):
+        place((1, 2), value)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_place_matches_oracle_exhaustively(n):
     for p in all_perms(n):

@@ -454,7 +454,7 @@ def test_unique_worst_case(n):
 def test_a_one_placement_search_allocates_nothing_sized_by_n_factorial():
     tracemalloc.start()
     try:
-        assert min_placements((2, 1) + tuple(range(3, 12)), cap=11) == 1
+        assert min_placements((2, 1) + tuple(range(3, 12))) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,11 +462,13 @@ def test_a_one_placement_search_allocates_nothing_sized_by_n_factorial():
 
 
 def test_capacity_errors():
-    with pytest.raises(CapacityError):
-        min_placements(identity(12))
+    assert min_placements(identity(12)) == 0
     with pytest.raises(CapacityError, match=r"about 8,143 MB"):
         min_placements_table(12)
-    assert min_placements(identity(12), cap=12) == 0
+
+
+def test_min_placements_beyond_the_tables():
+    assert min_placements(rotation(14)) == 1
 
 
 # -- hand-sort pass length -------------------------------------------------------

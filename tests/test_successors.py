@@ -346,6 +346,17 @@ def test_verify_names_states_from_rows_not_by_unranking():
     assert "unrank" not in vars(verify)
 
 
+def test_no_search_at_n_up_to_the_default_cap_can_reach_the_limit():
+    """A search holds at most the n! states of S_n, so for n <= 10 the
+    states it holds, times n, never exceed the limit, and every answer at
+    those sizes is given."""
+    assert all(factorial(n) * n <= successors.SEARCH_LIMIT for n in range(1, 11))
+    assert successors.SEARCH_LIMIT == factorial(10) * 10
+    successors.check_search(10, factorial(10))
+    with pytest.raises(CapacityError, match="n=12: the search holds 3,024,001 states"):
+        successors.check_search(12, 3_024_001)
+
+
 def test_capacity_estimates_below_a_megabyte_are_in_bytes():
     with pytest.raises(CapacityError, match=r"\(2 states, about 14 bytes: "):
         check_cap(2, 1)
