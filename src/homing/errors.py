@@ -19,7 +19,9 @@ class InvalidMoveError(HomingError):
 
 
 class CapacityError(HomingError):
-    """An exhaustive operation was requested beyond its configured cap."""
+    """An operation was refused for its size: an exhaustive pass beyond its
+    configured cap or beyond int32 ranks, or a per-state search beyond the
+    fixed :data:`homing.successors.SEARCH_LIMIT`."""
 
 
 class CodeShapeError(HomingError):

@@ -22,18 +22,18 @@ A firing is named by its letter only, and applied as its net effect: one
 gather of the state's positions, fixed by n, the code shape of the state it
 fires from, and the letter, and made once for each.  Making it refuses the
 letter with :class:`~homing.errors.WordError` unless 0 <= t <= i for L_t
-and 0 <= t <= j for R_t, and a refusal is never cached, so each letter is
-checked as it fires.  The displacement block itself (:func:`firing_moves`)
-is kept as the paper's construction and as the oracle that
-``homing.verify`` replays against the gather.  :func:`apply_letter` and
-:func:`firing_moves` take any state and read its shape from its code.
+and 0 <= t <= j for R_t, the one rule for which letter may fire, and a
+refusal is never cached, so each letter is checked as it fires.  The
+displacement block itself (:func:`firing_moves`) is kept as the paper's
+construction and as the oracle that ``homing.verify`` replays against the
+gather.  :func:`apply_letter` and :func:`firing_moves` take any state and
+read its shape from its code.
 
 From the gateway the shape needs no reading: after l left and r right
 firings the code is +^r 0^(n-2-l-r) -^l, so :func:`apply_word` and
-:func:`walk` count letters and hand the shape to the gather.  There,
-L_t lands in range exactly when t is at most the rights so far, and R_t
-when t is at most the lefts so far, so :func:`apply_word` refuses exactly
-the words that :func:`check_word` refuses.  The
+:func:`walk` count letters and hand the shape to the gather.
+:func:`check_word` asks the same rule of the same counts, so
+:func:`apply_word` refuses exactly the words that it refuses.  The
 ``firings/step-count-and-weight`` check backs the count, reading the code
 of every state it fires from, and :func:`apply_letter` fired one letter at
 a time is the oracle the tests hold the counted path to.  :func:`walk`
@@ -120,24 +120,30 @@ def _left_moves(i: int, k: int, s: int) -> list[DisplacementMove]:
     return moves
 
 
-def _landing(shape: tuple[int, int, int], letter: FiringLetter) -> int:
-    """The position ``letter``'s firing lands at on a state of code shape
-    (i, k, j): (i+1)-t for L_t, which needs 0 <= t <= i, and (i+k+2)+t for
-    R_t, which needs 0 <= t <= j."""
-    i, k, j = shape
+def _refusal(letter: FiringLetter, pluses: int, minuses: int) -> str | None:
+    """Why ``letter`` cannot fire on a code with ``pluses`` '+' and
+    ``minuses`` '-' symbols, or None if it can: L_t needs 0 <= t <= pluses
+    and R_t needs 0 <= t <= minuses."""
     side, t = letter
     if side == LEFT:
-        target, room = i + 1 - t, i
+        room = pluses
     elif side == RIGHT:
-        target, room = i + k + 2 + t, j
+        room = minuses
     else:
-        raise WordError(f"letter has invalid side {side!r}")
-    if not 0 <= t <= room:
-        raise WordError(
-            f"letter {format_letter(letter)} needs an index in 0..{room} on code "
-            f"shape (+^{i} 0^{k} -^{j})"
-        )
-    return target
+        return f"{format_letter(letter)} has invalid side {side!r}"
+    if 0 <= t <= room:
+        return None
+    return f"{format_letter(letter)} needs an index in 0..{room}, with {pluses} '+' and {minuses} '-'"
+
+
+def _landing(shape: tuple[int, int, int], letter: FiringLetter) -> int:
+    """The position ``letter``'s firing lands at on a state of code shape
+    (i, k, j): (i+1)-t for L_t and (i+k+2)+t for R_t."""
+    i, k, j = shape
+    why = _refusal(letter, i, j)
+    if why:
+        raise WordError(f"letter {why}")
+    return i + 1 - letter.index if letter.side == LEFT else i + k + 2 + letter.index
 
 
 def firing_moves(p: Perm, letter: FiringLetter) -> list[DisplacementMove]:
@@ -209,27 +215,17 @@ def apply_word(word: FiringWord, n: int) -> Perm:
 
 def check_word(word: FiringWord) -> None:
     """Validate the counting conditions: each L_t (R_t) needs at least t
-    prior R (L) letters."""
+    prior R (L) letters, since from the gateway the code has as many '+'
+    as rights and as many '-' as lefts."""
     lefts = rights = 0
     for idx, letter in enumerate(word, 1):
+        why = _refusal(letter, rights, lefts)
+        if why:
+            raise WordError(f"letter {idx}: {why}")
         if letter.side == LEFT:
-            if letter.index > rights:
-                raise WordError(
-                    f"letter {idx} ({format_letter(letter)}) needs "
-                    f"{letter.index} prior rights, found {rights}"
-                )
             lefts += 1
-        elif letter.side == RIGHT:
-            if letter.index > lefts:
-                raise WordError(
-                    f"letter {idx} ({format_letter(letter)}) needs "
-                    f"{letter.index} prior lefts, found {lefts}"
-                )
-            rights += 1
         else:
-            raise WordError(f"letter {idx} has invalid side {letter.side!r}")
-        if letter.index < 0:
-            raise WordError(f"letter {idx} has negative index")
+            rights += 1
 
 
 def _is_redex(a: FiringLetter, b: FiringLetter) -> bool:

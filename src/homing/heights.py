@@ -86,30 +86,29 @@ def height(p: Perm) -> int:
 
     A depth-first search: a pending entry ``(state, None)`` enters its state
     and pushes its successors, and the entry ``(state, successors)`` left
-    beneath them finishes it.  ``path`` holds the entered but unfinished
-    states, so reaching one of them again is a cycle.  The search holds the
-    states of ``memo`` and ``path``, and refuses once they exceed
+    beneath them finishes it.  ``memo[state]`` is None while the state is
+    entered but unfinished, and its height once done, so popping a pending
+    entry for a state marked None is a cycle.  The search holds the states
+    of ``memo``, and refuses once they exceed
     :data:`homing.successors.SEARCH_LIMIT` over n (3,024,000 at n = 12),
     which no state of n <= 10 can reach."""
     p = as_perm(p)
     n = len(p)
     _check_n(n)
-    memo: dict[Perm, int] = {}
-    path: set[Perm] = set()
+    memo: dict[Perm, int | None] = {}
     stack: list[tuple[Perm, set[Perm] | None]] = [(p, None)]
     while stack:
         state, succs = stack.pop()
         if succs is not None:
-            path.remove(state)
             memo[state] = 1 + max(memo[q] for q in succs) if succs else 0
-        elif state in path:
-            raise CycleError(f"placement digraph cycle through {state}")
         elif state not in memo:
-            path.add(state)
-            check_search(n, len(memo) + len(path))
+            memo[state] = None
+            check_search(n, len(memo))
             succs = placement_successors(state)
             stack.append((state, succs))
-            stack.extend((q, None) for q in succs if q not in memo)
+            stack.extend((q, None) for q in succs if memo.get(q) is None)
+        elif memo[state] is None:
+            raise CycleError(f"placement digraph cycle through {state}")
     return memo[p]
 
 

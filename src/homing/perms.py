@@ -147,6 +147,15 @@ def place_at(row: MutableSequence[int], q: int) -> int:
     return value
 
 
+def _move_index(what: str, x: SupportsIndex) -> int:
+    """``x`` as an int, by :func:`operator.index` as in :func:`as_perm`, or
+    an :class:`InvalidMoveError` that reads ``what`` and names ``x``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidMoveError(f"{what} {x!r}: not an integer") from None
+
+
 def place(p: Perm, value: int) -> Perm:
     """Move ``value`` to its home position, shifting what it passes over.
 
@@ -155,6 +164,7 @@ def place(p: Perm, value: int) -> Perm:
     >>> place((4, 1, 3, 5, 2), 1)
     (1, 4, 3, 5, 2)
     """
+    value = _move_index("cannot place", value)
     if not 1 <= value <= len(p):
         raise InvalidMoveError(f"cannot place {value}: not a value of 1..{len(p)}")
     items = list(p)
@@ -172,6 +182,8 @@ def displace(p: Perm, value: int, target: int) -> Perm:
     >>> displace((1, 2, 3), 1, 3)
     (2, 3, 1)
     """
+    value = _move_index("cannot displace", value)
+    target = _move_index("target position", target)
     home = value - 1
     if not 0 <= home < len(p) or p[home] != value:
         raise InvalidMoveError(f"cannot displace {value}: not home")

@@ -4,14 +4,18 @@ A strategy picks which out-of-place value to place next: each is a
 stepper, a generator over the live row that yields the position of the next
 value to place and stops once the row is the identity.  The extremal
 strategies (smallest-first, largest-first, and the alternating variant)
-finish in at most n-1 steps because an extremal value, once home, is never
-dislodged.  The leftmost-not-home rule on the rotation 2,3,...,n,1 walks
-the tower-of-Hanoi pattern and realizes the global maximum 2^(n-1)-1.
+are one walk that settles the row's two ends, the home prefix 1..h and the
+home suffix t+2..n, whose lengths sum to the stage; each differs only in
+how it chooses between h+1 and t+1.  They finish in at most n-1 steps
+because an extremal value, once home, is never dislodged.  The
+leftmost-not-home rule on the rotation 2,3,...,n,1 walks the
+tower-of-Hanoi pattern and realizes the global maximum 2^(n-1)-1.
 
 A deterministic strategy also has a step table over all of S_n
 (:func:`step_table`): the rank each state moves to, built by one
-:func:`homing.successors.place_rows` step over every state at once, with
-step counts by pointer doubling (:func:`step_counts`).  The exhaustive
+:func:`homing.successors.place_rows` step over every state at once from
+the ends that :func:`homing.successors.away_columns` reads, with step
+counts by pointer doubling (:func:`step_counts`).  The exhaustive
 strategy checks of :mod:`homing.verify` read these tables, and
 :func:`run_strategy` is the oracle the tests compare them with.
 
@@ -24,7 +28,7 @@ A run places from each position its stepper yields, with
 packed buffer that the trace keeps: n bytes per step, or 2n for
 256 <= n < 65,536.  Leftmost-not-home keeps a pointer that never moves
 left, so its search for the next position costs O(n) over the whole run,
-not per step; the extremal steppers keep one such pointer at each end.
+not per step; the extremal walk keeps one such pointer at each end.
 The run's codes, weights and text are computed per block of up to
 ``_BLOCK`` steps of that buffer, read as a matrix: one scatter gives the
 positions, the weight kernel of :mod:`homing.successors` the codes and
@@ -49,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import factorial
-from typing import Callable, Iterator, MutableSequence, NamedTuple, Sequence
+from typing import Callable, Iterator, MutableSequence, NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from .errors import InputError
 from .perms import Perm, _check_n, as_perm, identity, place_at, placeable_values, placement_successors
 from .successors import (
     DEFAULT_CAP,
+    away_columns,
     check_cap,
     check_search,
     code_signs,
@@ -207,47 +212,14 @@ def _digits(values: np.ndarray) -> np.ndarray:
 # value to place, and stops once the row is the identity
 # ---------------------------------------------------------------------------
 
-def _smallest_first(row: MutableSequence[int]) -> Iterator[int]:
-    # positions left of h hold 1..h, so h+1 is the smallest value away, and
-    # placing it from the right of h leaves 1..h+1 home
-    h, n = 0, len(row)
-    while True:
-        while h < n and row[h] == h + 1:
-            h += 1
-        if h == n:
-            return
-        yield row.index(h + 1, h)
-
-
-def _largest_first(row: MutableSequence[int]) -> Iterator[int]:
-    # positions right of t hold t+2..n, so t+1 is the largest value away, and
-    # placing it from the left of t leaves t+1..n home
-    t = len(row) - 1
-    while True:
-        while t >= 0 and row[t] == t + 1:
-            t -= 1
-        if t < 0:
-            return
-        yield row.index(t + 1)
-
-
-def _remainder_is_reverse(row: Sequence[int]) -> bool:
-    """True if the out-of-place values read in decreasing positional order."""
-    rem = placeable_values(row)
-    return len(rem) >= 2 and all(a > b for a, b in zip(rem, rem[1:]))
-
-
-def _reverse_after(row: MutableSequence[int], q: int) -> bool:
-    """:func:`_remainder_is_reverse` of ``row`` once the value at ``q`` is placed."""
-    after = row[:]
-    place_at(after, q)
-    return _remainder_is_reverse(after)
-
-
-def _alternating_extremal(row: MutableSequence[int]) -> Iterator[int]:
-    # Place the smallest or the largest value away (h+1 or t+1, as in the
-    # two steppers above), preferring whichever leaves a non-reverse
-    # remainder; ties go to the smaller value.
+def _extremal(choose: Callable[..., int], row: MutableSequence[int]) -> Iterator[int]:
+    """The extremal steppers' one walk: it moves h past the home prefix and
+    t past the home suffix, so that positions left of h hold 1..h and
+    positions right of t hold t+2..n, and yields ``choose(row, h, t)``, the
+    position to place from.  h+1 is then the smallest value away and t+1
+    the largest.  h never moves left and t never moves right: a placement
+    shifts only the entries between its source and its home, and both lie
+    in h..t."""
     h, t = 0, len(row) - 1
     while True:
         while h <= t and row[h] == h + 1:
@@ -256,8 +228,23 @@ def _alternating_extremal(row: MutableSequence[int]) -> Iterator[int]:
             return
         while row[t] == t + 1:  # stops at h at the latest
             t -= 1
-        lo, hi = row.index(h + 1, h), row.index(t + 1, h)
-        yield hi if _reverse_after(row, lo) and not _reverse_after(row, hi) else lo
+        yield choose(row, h, t)
+
+
+def _reverse_after(row: MutableSequence[int], q: int) -> bool:
+    """True if, once the value at ``q`` is placed, the out-of-place values
+    of ``row`` are two or more and read in decreasing positional order."""
+    after = row[:]
+    place_at(after, q)
+    rem = placeable_values(after)
+    return len(rem) >= 2 and all(a > b for a, b in zip(rem, rem[1:]))
+
+
+def _alternating_choice(row: MutableSequence[int], h: int, t: int) -> int:
+    # place the smallest or the largest value away, preferring whichever
+    # leaves a non-reverse remainder; ties go to the smaller value
+    lo, hi = row.index(h + 1, h), row.index(t + 1, h)
+    return hi if _reverse_after(row, lo) and not _reverse_after(row, hi) else lo
 
 
 def _leftmost_not_home(row: MutableSequence[int]) -> Iterator[int]:
@@ -283,30 +270,21 @@ def _random_steps(rng: random.Random, row: MutableSequence[int]) -> Iterator[int
 
 
 _STEPPERS: dict[str, Callable[[MutableSequence[int]], Iterator[int]]] = {
-    SMALLEST_FIRST: _smallest_first,
-    LARGEST_FIRST: _largest_first,
-    ALTERNATING_EXTREMAL: _alternating_extremal,
+    SMALLEST_FIRST: partial(_extremal, lambda row, h, t: row.index(h + 1, h)),
+    LARGEST_FIRST: partial(_extremal, lambda row, h, t: row.index(t + 1, h)),
+    ALTERNATING_EXTREMAL: partial(_extremal, _alternating_choice),
     LEFTMOST_NOT_HOME: _leftmost_not_home,
 }
 
 
 # the steppers' rules over many rows at once, for the step tables: with f
-# and l a row's first and last out-of-place columns, smallest-first places
-# f+1, largest-first l+1 and leftmost-not-home the value at f
-
-def _first_last_away(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first and last out-of-place columns f and l, 0-based."""
-    away = rows != np.arange(1, rows.shape[1] + 1, dtype=rows.dtype)
-    return away.argmax(axis=1), away.shape[1] - 1 - away[:, ::-1].argmax(axis=1)
-
-
-def _leftmost_rows(rows: np.ndarray) -> np.ndarray:
-    f, _ = _first_last_away(rows)
-    return place_rows(rows, rows[np.arange(len(rows)), f])
-
+# and l a row's first and last out-of-place columns (away_columns),
+# smallest-first places f+1, largest-first l+1 and leftmost-not-home the
+# value at f
 
 def _remainder_is_reverse_rows(rows: np.ndarray) -> np.ndarray:
-    """:func:`_remainder_is_reverse` of every row."""
+    """Whether the out-of-place values of each row are two or more and read
+    in decreasing positional order: the test of :func:`_reverse_after`."""
     m, n = rows.shape
     last = np.full(m, n + 1, rows.dtype)  # the last out-of-place value so far
     falling = np.ones(m, bool)
@@ -320,19 +298,19 @@ def _remainder_is_reverse_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _alternating_rows(rows: np.ndarray) -> np.ndarray:
-    # both placements, then the rule of _alternating_extremal row by row; a
+    # both placements, then the rule of _alternating_choice row by row; a
     # state that is not the identity has two out-of-place values at least
-    f, l = _first_last_away(rows)
+    f, l = away_columns(rows)
     lo, hi = place_rows(rows, f + 1), place_rows(rows, l + 1)
     take_hi = _remainder_is_reverse_rows(lo) & ~_remainder_is_reverse_rows(hi)
     return np.where(take_hi[:, None], hi, lo)
 
 
 _ROW_STEPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    SMALLEST_FIRST: lambda rows: place_rows(rows, _first_last_away(rows)[0] + 1),
-    LARGEST_FIRST: lambda rows: place_rows(rows, _first_last_away(rows)[1] + 1),
+    SMALLEST_FIRST: lambda rows: place_rows(rows, away_columns(rows)[0] + 1),
+    LARGEST_FIRST: lambda rows: place_rows(rows, away_columns(rows)[1] + 1),
     ALTERNATING_EXTREMAL: _alternating_rows,
-    LEFTMOST_NOT_HOME: _leftmost_rows,
+    LEFTMOST_NOT_HOME: lambda rows: place_rows(rows, rows[np.arange(len(rows)), away_columns(rows)[0]]),
 }
 
 

@@ -9,9 +9,12 @@ the placement digraph handles one whole frontier per numpy call instead of
 one state per Python loop.  :func:`place_rows` is the other direction, one
 placement per row, and :func:`step_ranks` ranks one such step from every
 state of S_n, which is how the strategy step tables of
-:mod:`homing.strategies` are built; :func:`stage_rows` and :func:`lis_rows`
-measure many states at once.  :func:`code_signs` and :func:`code_weights`
-are the weight kernel, the code and weight of many states at once.  Height
+:mod:`homing.strategies` are built.  :func:`away_columns` is the one bulk
+reading of a row's settled ends, its first and last out-of-place columns,
+which the step tables and :func:`stage_rows` read; :func:`stage_rows` and
+:func:`lis_rows` measure many states at once.  :func:`code_signs` and
+:func:`code_weights` are the weight kernel, the code and weight of many
+states at once.  Height
 and BFS tables come from :func:`release_rounds`; traces and the lemma checks
 run on this layer too, and :mod:`homing.codes` defines codes and weights.
 
@@ -288,22 +291,30 @@ def step_ranks(n: int, step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return ranks
 
 
+def away_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first and last out-of-place columns f and l, 0-based: the
+    row's home prefix is 1..f and its home suffix l+2..n.  The identity,
+    with no column away, reads f = 0 and l = n-1.
+
+    >>> [c.tolist() for c in away_columns(np.array([[1, 3, 2, 4], [2, 1, 3, 4], [1, 2, 3, 4]], np.int8))]
+    [[1, 0, 0], [2, 1, 3]]
+    """
+    away = rows != np.arange(1, rows.shape[1] + 1, dtype=rows.dtype)
+    return away.argmax(axis=1), away.shape[1] - 1 - away[:, ::-1].argmax(axis=1)
+
+
 def stage_rows(rows: np.ndarray) -> np.ndarray:
     """:func:`homing.perms.stage` of every row, as int8: its home prefix
-    plus its home suffix, and n for the identity.
+    plus its home suffix, f + (n-1-l) by :func:`away_columns`, and n for
+    the identity.
 
     >>> stage_rows(np.array([[1, 3, 2, 4], [2, 1, 3, 4], [1, 2, 3, 4]], np.int8)).tolist()
     [2, 2, 4]
     """
-    m, n = rows.shape
-    prefix, suffix = np.ones(m, bool), np.ones(m, bool)
-    level = np.zeros(m, np.int8)
-    for c in range(n):
-        prefix &= rows[:, c] == c + 1
-        suffix &= rows[:, n - 1 - c] == n - c
-        level += prefix
-        level += suffix
-    level[prefix] = n  # the identity counted both ends in full
+    n = rows.shape[1]
+    first, last = away_columns(rows)
+    level = (first + (n - 1 - last)).astype(np.int8)
+    level[(first == 0) & (rows[:, 0] == 1)] = n  # the identity: nothing away
     return level
 
 

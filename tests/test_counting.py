@@ -7,6 +7,7 @@ from math import comb, factorial, isclose
 
 import pytest
 
+from homing import InputError
 from homing.counting import (
     bell_number,
     growth_csv,
@@ -156,6 +157,13 @@ def test_split_count_is_thread_safe():
         lambda module, slot: (module.worst_case_count(73 + slot), module.split_count(slot + 1, 40)),
         expected,
     )
+
+
+def test_counts_refuse_sizes_below_their_range():
+    with pytest.raises(InputError, match="needs n >= 2, got 1"):
+        worst_case_count(1)
+    with pytest.raises(InputError, match="needs m >= 0, got -1"):
+        bell_number(-1)
 
 
 def test_bell_examples():

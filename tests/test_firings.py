@@ -163,6 +163,20 @@ def test_apply_word_refuses_exactly_what_check_word_refuses(n):
     assert firings._gather.cache_info().maxsize is not None
 
 
+@pytest.mark.parametrize("size", range(9))
+def test_next_letters_are_the_letters_the_rule_lets_fire(size):
+    """After ``lefts`` lefts and ``rights`` rights, the letters offered to
+    grow a word are exactly those the firing-letter rule accepts, with as
+    many '+' as rights and as many '-' as lefts, out of every index from
+    -1 to one past the letters so far and a bad side."""
+    for lefts in range(size + 1):
+        rights = size - lefts
+        indices = range(-1, size + 2)
+        candidates = [FiringLetter(side, t) for side in ("L", "R", "X") for t in indices]
+        accepted = [c for c in candidates if firings._refusal(c, rights, lefts) is None]
+        assert firings._next_letters(lefts, rights) == tuple(accepted)
+
+
 def test_canonicalize_example():
     word = parse_word("L0,R1,R0,L1,R2,R1")
     canon = canonicalize(word)
@@ -359,6 +373,8 @@ def test_word_to_partition_validation():
         word_to_partition((L(1),))  # block 2 does not exist yet
     with pytest.raises(WordError, match=r"names block 0 of 1"):
         word_to_partition((L(-1),))  # no block 0: it must not wrap to the last block
+    with pytest.raises(WordError, match="letter 1 has invalid side 'X'"):
+        word_to_partition((FiringLetter("X", 0),))
     with pytest.raises(WordError, match=r"blocks do not partition 1..m: \(\(1, 2\), \(2, 3\)\)"):
         partition_to_word(((1, 2), (2, 3)))
     with pytest.raises(WordError, match="blocks do not partition 1..m"):
@@ -428,3 +444,5 @@ def test_partition_text_roundtrip():
         parse_partition("{1,2}{2,3}")
     with pytest.raises(ParseError):
         parse_partition("{1}(2)")
+    with pytest.raises(ParseError, match="invalid partition block {1 2}"):
+        parse_partition("{1 2}")

@@ -215,6 +215,9 @@ def test_tables_compare_by_value():
     assert a != heights.HeightTable(3, changed)
     with pytest.raises(InputError, match="holds 6 heights, got 5"):
         heights.HeightTable(3, a.heights[:5])
+    # against anything else, equality defers to the other side and falls back to identity
+    assert a.__eq__(3) is NotImplemented
+    assert (a == 3) is False and (a != 3) is True
 
 
 class Interrupted(BaseException):

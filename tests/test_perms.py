@@ -69,6 +69,25 @@ def test_place_rejects_a_value_outside_the_permutation(value):
         place((1, 2), value)
 
 
+@pytest.mark.parametrize(
+    "move, args, named",
+    [
+        (place, ((1, 2), 1.5), "cannot place 1.5"),
+        (displace, ((1, 2, 3), 1.5, 1), "cannot displace 1.5"),
+        (displace, ((1, 2, 3), 1, 2.5), "target position 2.5"),
+    ],
+    ids=["place-value", "displace-value", "displace-target"],
+)
+def test_a_non_integer_move_is_refused_by_name(move, args, named):
+    with pytest.raises(InvalidMoveError, match=f"^{named}: not an integer$"):
+        move(*args)
+
+
+def test_a_bool_is_an_integer_move():
+    assert place((2, 1), True) == (1, 2)
+    assert displace((1, 2), True, 2) == (2, 1)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_place_matches_oracle_exhaustively(n):
     for p in all_perms(n):

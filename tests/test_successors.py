@@ -34,6 +34,7 @@ from homing.strategies import (
     step_table,
 )
 from homing.successors import (
+    away_columns,
     check_cap,
     code_signs,
     code_weights,
@@ -137,6 +138,18 @@ def test_stage_and_lis_rows_match_the_tuple_measures(n):
     rows = perm_matrix(n)
     assert stage_rows(rows).tolist() == [stage(p) for p in all_perms(n)]
     assert lis_rows(rows).tolist() == [lis_length(p) for p in all_perms(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_away_columns_match_a_per_row_oracle(n):
+    """The first and last out-of-place columns of every state, and 0 and
+    n-1 for the identity."""
+    def ends(p):
+        away = [c for c, v in enumerate(p) if v != c + 1] or [0, n - 1]
+        return away[0], away[-1]
+
+    first, last = away_columns(perm_matrix(n))
+    assert list(zip(first.tolist(), last.tolist())) == [ends(p) for p in all_perms(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

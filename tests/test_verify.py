@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from homing import all_perms, cli, code_of, displacement_successors, heights, rank, verify, weight
+from homing.firings import FiringLetter, L, R
+from homing.heights import HeightTable
 from homing.successors import code_signs, code_weights, displacement_ranks, displacement_sources, perm_matrix
 from homing.verify import (
     SUITES,
@@ -307,3 +309,141 @@ def test_a_dropped_eviction_fails_the_eviction_duality(monkeypatch):
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+
+# ---------------------------------------------------------------------------
+# planted failures: every counterexample line of a property runs, and names
+# what it caught
+# ---------------------------------------------------------------------------
+
+def weights_edited(edit):
+    """A plant for ``_code_table``: each length k's weights w become
+    ``edit(k, w)``."""
+    return lambda real: lambda k: (real(k)[0], edit(k, real(k)[1].copy()))
+
+
+def heights_edited(n, rank, height):
+    """A plant for ``_table``: the state of S_n with ``rank`` gets ``height``."""
+
+    def plant(real):
+        def table(m):
+            if m != n:
+                return real(m)
+            heights = real(n).heights.copy()
+            heights[rank] = height
+            return HeightTable(n, heights)
+
+        return table
+
+    return plant
+
+
+def weighed_edited(edit):
+    """A plant for ``_weighed``: the weights w of S_n become ``edit(w)``."""
+    return lambda real: lambda n: (real(n)[0], edit(real(n)[1]), real(n)[2])
+
+
+def scrambling_place(real):
+    """Places the value home but reverses the order of the others."""
+
+    def place(p, v):
+        rest = [x for x in p if x != v][::-1]
+        rest.insert(v - 1, v)
+        return tuple(rest)
+
+    return place
+
+
+def other_side(real):
+    """Fires the letter of the other side and the same index."""
+    return lambda p, letter: real(p, FiringLetter("R" if letter.side == "L" else "L", letter.index))
+
+
+def state_replaced(word, state):
+    """A plant for ``walk``: ``word`` fires to ``state``."""
+    return lambda real: lambda n, **keep: (
+        (w, state if w == word else p) for w, p in real(n, **keep)
+    )
+
+
+def plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+PLANTED = [
+    (verify.check_placement_semantics, "place", lambda real: lambda p, v: p, "place(2,1, 2) = 2,1"),
+    (verify.check_placement_semantics, "place", scrambling_place, "relative order broken: 1,3,2 place 3"),
+    (verify.check_inversion, "place", lambda real: lambda p, v: p,
+     "displace DisplacementMove(value=1, target=2) on 1,2 not undone"),
+    (verify.check_inversion, "displace", lambda real: lambda p, v, target: p, "place 2 on 2,1 not undone"),
+    (verify.check_weight_range, "_code_table", weights_edited(lambda k, w: 2 * w), "w(+) = 2 outside 0..1"),
+    (verify.check_weight_range, "_code_table", weights_edited(lambda k, w: w * (np.arange(len(w)) > 0)),
+     "w = 0 mischaracterized at k=1"),
+    (verify.check_weight_range, "_code_table",
+     weights_edited(lambda k, w: w - (k >= 2) * (np.arange(len(w)) == 0)),  # +^k one lower
+     "w = 3 vs max form at k=2"),
+    (verify.check_binary_readings, "code_weights", lambda real: lambda signs: real(signs)[::-1],
+     "w(0) != binary 0"),
+    (verify.check_block_formula, "weight", lambda real: lambda code: real(code) + (len(code) >= 2),
+     "w(+-) != 3 for split |1||1|"),
+    (verify.check_zero_append, "_code_table", weights_edited(lambda k, w: w - (k >= 1)),
+     "w(+0) too large for split at 0"),
+    (verify.check_marking_monotonic, "_code_table", weights_edited(lambda k, w: 0 * w), "w(+) <= w(0)"),
+    (verify.check_displacement_weight_increase, "_weighed", weighed_edited(lambda w: 0 * w),
+     "displace 3,2,1 -> 2,3,1: weight 0 -> 0"),
+    (verify.check_unique_worst_case, "unique_worst_case_check", lambda real: lambda n: False,
+     "n=2: the reversal is not the only state needing n-1 placements"),
+    (verify.check_stage_advance_premise, "place_rows",
+     lambda real: lambda rows, v: rows.copy() if rows.shape[1] == v == 3 else real(rows, v),  # 3 stays put
+     "1,3,2: advance probability below 2/(n-k)"),
+    (verify.check_max_heights, "_table", heights_edited(1, 0, 1), "max height at n=1 is 1"),
+    (verify.check_max_heights, "_table", heights_edited(3, 3, 0), "rotation not at max height for n=3"),
+    (verify.check_max_heights, "_table", heights_edited(3, 4, 2),
+     "top level at n=3 is not worst_case_count(3) states"),
+    (verify.check_max_heights, "_table", heights_edited(3, 5, 1), "gateway height wrong at n=3"),
+    (verify.check_weight_certificate, "_weighed", weighed_edited(lambda w: w + 1),
+     "2,1 sustains 0 > -1 evictions"),
+    (verify.check_mn_code_shape, "_table", heights_edited(3, 0, 3), "1,2,3 in worst set, code 0"),
+    (verify.check_firing_steps, "firing_moves", lambda real: lambda p, letter: real(p, letter)[:-1],
+     "n=3 L0: block size 0"),
+    (verify.check_firing_steps, "weight", lambda real: lambda code: 2 * real(code),
+     "n=3 L0: weight step 0->2"),
+    (verify.check_firing_steps, "firing_moves", other_side, "n=3 L0: code +, 3 at position 1"),
+    (verify.check_firing_steps, "apply_letter", lambda real: lambda p, letter: p,
+     "n=3 L0: gather and cascade disagree"),
+    (verify.check_schedule_total, "firing_moves", lambda real: lambda p, letter: 2 * real(p, letter),
+     "L0 used 2 displacements"),
+    (verify.check_schedule_total, "_worst", lambda real: lambda n: real(n) - {(2, 3, 1)},
+     "L0 left the worst-case set"),
+    (verify.check_word_bijection, "walk", lambda real: lambda n: [*real(n), *real(n)], "n=2: words collide"),
+    (verify.check_word_bijection, "_worst", lambda real: lambda n: real(n) | {(1, 2)},
+     "n=2: image has 1 of 2"),
+    (verify.check_word_bijection, "_worst",
+     lambda real: lambda n: real(n) ^ {(2, 3, 1), (1, 2, 3)} if n == 3 else real(n),  # 1,2,3 for 2,3,1
+     "n=3: 2,3,1 is not a worst case"),
+    (verify.check_confluence, "canonicalize", lambda real: lambda word: word,
+     "L0,R1 has normal forms {(FiringLetter(side='R', index=0), FiringLetter(side='L', index=1))}"),
+    (verify.check_confluence, "walk", state_replaced((L(0), R(1)), (1, 2, 3, 4)),
+     "rewrite changed the state of L0,R1"),
+    (verify.check_recurrence_language, "split_count", plus_one, "f(1,1) != language count"),
+    (verify.check_recurrence_language, "worst_case_count", plus_one, "diagonal sum mismatch at n=2"),
+    (verify.check_partition_roundtrip, "partition_to_word", lambda real: lambda partition: (),
+     "roundtrip failed for L0"),
+    (verify.check_partition_roundtrip, "bell_number", plus_one, "length 0: 1 partitions, not B(1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, plant, detail",
+    PLANTED,
+    ids=[f"{check.__name__}-{i}" for i, (check, *_) in enumerate(PLANTED)],
+)
+def test_a_planted_counterexample_fails_its_property(monkeypatch, check, name, plant, detail):
+    """Each counterexample line of each property, reached by one planted
+    input: the property fails and its detail names the state, code, word
+    or size it caught, at the scale ``homing verify`` runs it."""
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    result = check(7)
+    assert not result.passed
+    assert result.detail == detail
