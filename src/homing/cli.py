@@ -36,6 +36,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import Iterable, Iterator
 
 from .atomic import write_atomic
@@ -129,17 +130,9 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_height(args) -> int:
-    p = parse_perm(args.perm)
-    h = height(p)
-    _write_output([_scalar(h, "height", args.format)], args.out)
-    return 0
-
-
-def _cmd_min_steps(args) -> int:
-    p = parse_perm(args.perm)
-    d = min_placements(p)
-    _write_output([_scalar(d, "min_placements", args.format)], args.out)
+def _cmd_scalar(label: str, compute, args) -> int:
+    """One value, ``compute(args)``, written under ``label``."""
+    _write_output([_scalar(compute(args), label, args.format)], args.out)
     return 0
 
 
@@ -172,12 +165,6 @@ def _cmd_words(args) -> int:
     if args.format == "json":
         words = map(json.dumps, words)
     _write_output(_listing(words, args.format), args.out)
-    return 0
-
-
-def _cmd_canon(args) -> int:
-    word = canonicalize(parse_word(args.word))
-    _write_output([_scalar(format_word(word), "canonical", args.format)], args.out)
     return 0
 
 
@@ -284,10 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--seed", type=int, help="64-bit seed (random only, and required there)")
 
-    sp = add("height", _cmd_height, "longest placement distance to the identity")
+    # each lambda looks its library function up when it runs, not when it is bound
+    sp = add("height", partial(_cmd_scalar, "height", lambda a: height(parse_perm(a.perm))),
+             "longest placement distance to the identity")
     sp.add_argument("--perm", required=True)
 
-    sp = add("min-steps", _cmd_min_steps, "shortest placement distance to the identity")
+    sp = add("min-steps", partial(_cmd_scalar, "min_placements", lambda a: min_placements(parse_perm(a.perm))),
+             "shortest placement distance to the identity")
     sp.add_argument("--perm", required=True)
 
     sp = add("enum-mn", _cmd_enum_mn, "enumerate the worst-case permutations of size n")
@@ -300,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("words", _cmd_words, "canonical firing words of length n-2")
     sp.add_argument("--n", type=int, required=True)
 
-    sp = add("canon", _cmd_canon, "canonical form of a firing word")
+    sp = add("canon", partial(_cmd_scalar, "canonical", lambda a: format_word(canonicalize(parse_word(a.word)))),
+             "canonical form of a firing word")
     sp.add_argument("--word", required=True, help='e.g. "L0,R1,R0,L1,R2,R1"')
 
     sp = add("bell-bijection", _cmd_bell_bijection, "convert words <-> set partitions")

@@ -25,7 +25,7 @@ off before it on its side.  The tests check that rule on
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InputError, ParseError
 from .perms import Perm
@@ -77,34 +77,29 @@ def _check_tie(tie: str) -> None:
         raise InputError(f"tie must be '+' or '-', got {tie!r}")
 
 
-def _pick(code: str, tie: str) -> tuple[int, int] | None:
-    """Index and reach of the next symbol to strip, or None if all zeros."""
-    rm = code.rfind("-")  # rightmost '-', reach = its index
-    lp = code.find("+")  # leftmost '+', reach = len(code) - 1 - its index
-    if lp < 0:
-        return None if rm < 0 else (rm, rm)
-    d_plus = len(code) - 1 - lp
-    if rm > d_plus or (rm == d_plus and tie == "-"):
-        return rm, rm
-    return lp, d_plus
+def _strips(code: str, tie: str) -> Iterator[tuple[int, int]]:
+    """Index and reach of each symbol the weight recursion strips, in order."""
+    parse_code(code)
+    _check_tie(tie)
+    while True:
+        rm = code.rfind("-")  # rightmost '-', reach = its index
+        idx = code.find("+")  # leftmost '+', reach = len(code) - 1 - its index
+        if rm < 0 and idx < 0:
+            return
+        reach = len(code) - 1 - idx if idx >= 0 else -1  # -1: no '+' to strip
+        if rm > reach or (rm == reach and tie == "-"):
+            idx = reach = rm
+        yield idx, reach
+        code = code[:idx] + code[idx + 1:]
 
 
-def strip_trace(code: str, tie: str = "-") -> list[StripStep]:
-    """The full strip sequence of the weight recursion.
+def strip_trace(code: str) -> list[StripStep]:
+    """The full strip sequence of the weight recursion, ties to the '-'.
 
     >>> strip_trace("+0+")
     [StripStep(position=1, exponent=2), StripStep(position=2, exponent=0)]
     """
-    parse_code(code)
-    _check_tie(tie)
-    steps = []
-    while True:
-        choice = _pick(code, tie)
-        if choice is None:
-            return steps
-        idx, d = choice
-        steps.append(StripStep(idx + 1, d))
-        code = code[:idx] + code[idx + 1:]
+    return [StripStep(idx + 1, d) for idx, d in _strips(code, "-")]
 
 
 def weight(code: str, tie: str = "-") -> int:
@@ -113,13 +108,4 @@ def weight(code: str, tie: str = "-") -> int:
     >>> weight("000"), weight("+0+"), weight("++---")
     (0, 5, 31)
     """
-    parse_code(code)
-    _check_tie(tie)
-    total = 0
-    while True:
-        choice = _pick(code, tie)
-        if choice is None:
-            return total
-        idx, d = choice
-        total += 1 << d
-        code = code[:idx] + code[idx + 1:]
+    return sum(1 << d for _, d in _strips(code, tie))

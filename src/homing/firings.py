@@ -29,9 +29,9 @@ construction and as the oracle that ``homing.verify`` replays against the
 gather.  :func:`apply_letter` and :func:`firing_moves` take any state and
 read its shape from its code.
 
-From the gateway the shape needs no reading: after l left and r right
-firings the code is +^r 0^(n-2-l-r) -^l, so :func:`apply_word` and
-:func:`walk` count letters and hand the shape to the gather.
+From the gateway the shape needs no reading: after t letters, r of them
+rights, the code is +^r 0^(n-2-t) -^(t-r), so :func:`apply_word` and
+:func:`walk` count rights and hand the shape to the gather.
 :func:`check_word` asks the same rule of the same counts, so
 :func:`apply_word` refuses exactly the words that it refuses.  The
 ``firings/step-count-and-weight`` check backs the count, reading the code
@@ -203,12 +203,10 @@ def apply_word(word: FiringWord, n: int) -> Perm:
     if len(word) != n - 2:
         raise WordError(f"word length {len(word)} does not match n-2 = {n - 2}")
     p = swap_ends(n)
-    lefts = rights = 0
-    for letter in word:
-        p = _gather(n, (rights, n - 2 - lefts - rights, lefts), letter)(p)
-        if letter.side == LEFT:
-            lefts += 1
-        else:
+    rights = 0
+    for t, letter in enumerate(word):
+        p = _gather(n, (rights, n - 2 - t, t - rights), letter)(p)
+        if letter.side == RIGHT:
             rights += 1
     return p
 
@@ -217,14 +215,12 @@ def check_word(word: FiringWord) -> None:
     """Validate the counting conditions: each L_t (R_t) needs at least t
     prior R (L) letters, since from the gateway the code has as many '+'
     as rights and as many '-' as lefts."""
-    lefts = rights = 0
-    for idx, letter in enumerate(word, 1):
-        why = _refusal(letter, rights, lefts)
+    rights = 0
+    for t, letter in enumerate(word):
+        why = _refusal(letter, rights, t - rights)
         if why:
-            raise WordError(f"letter {idx}: {why}")
-        if letter.side == LEFT:
-            lefts += 1
-        else:
+            raise WordError(f"letter {t + 1}: {why}")
+        if letter.side == RIGHT:
             rights += 1
 
 
@@ -317,19 +313,17 @@ def walk(n: int, keep=_canonical) -> Iterator[tuple[FiringWord, Perm]]:
     :func:`canonical_words` order, and only one branch's siblings are held.
     """
     _check_word_n(n)
-    stack = [((), swap_ends(n), 0, 0)]
+    stack = [((), swap_ends(n), 0)]
     while stack:
-        word, p, lefts, rights = stack.pop()
+        word, p, rights = stack.pop()
         yield word, p
-        if lefts + rights < n - 2:
-            shape = (rights, n - 2 - lefts - rights, lefts)
-            for letter in reversed(_next_letters(lefts, rights)):
+        t = len(word)
+        if t < n - 2:
+            shape = (rights, n - 2 - t, t - rights)
+            for letter in reversed(_next_letters(t - rights, rights)):
                 if keep(word, letter):
                     q = _gather(n, shape, letter)(p)
-                    if letter.side == LEFT:
-                        stack.append((word + (letter,), q, lefts + 1, rights))
-                    else:
-                        stack.append((word + (letter,), q, lefts, rights + 1))
+                    stack.append((word + (letter,), q, rights + (letter.side == RIGHT)))
 
 
 def restricted_words(length: int) -> Iterator[FiringWord]:
@@ -368,7 +362,8 @@ def _unrestricted(pos: int, side: str, index: int, blocks: int) -> WordError:
         return WordError(f"letter {pos} ({side}{index}): partitions encode short right firings only")
     if side == LEFT:
         return WordError(f"letter {pos} ({side}{index}) names block {index + 1} of {blocks}")
-    return WordError(f"letter {pos} has invalid side {side!r}")
+    # an invalid side: check_word's refusal, which names the side whatever the room
+    return WordError(f"letter {pos}: {_refusal(FiringLetter(side, index), 0, 0)}")
 
 
 def partition_to_word(partition: SetPartition) -> FiringWord:
@@ -430,8 +425,8 @@ _TEXT = _LetterText((letter, f"{letter.side}{letter.index}") for letter in _LEFT
 _RESTRICTED_TEXT = _LetterText({**_TEXT, R(0): "R"})
 
 
-def format_letter(letter: FiringLetter, restricted: bool = False) -> str:
-    return (_RESTRICTED_TEXT if restricted else _TEXT)[letter]
+def format_letter(letter: FiringLetter) -> str:
+    return _TEXT[letter]
 
 
 def format_word(word: FiringWord, restricted: bool = False) -> str:
@@ -455,7 +450,10 @@ def parse_word(text: str) -> FiringWord:
         m = re.fullmatch(r"([LR])(\d*)", token)
         if not m:
             raise ParseError(f"invalid firing letter {token!r}")
-        letters.append(FiringLetter(m.group(1), int(m.group(2) or 0)))
+        try:
+            letters.append(FiringLetter(m.group(1), int(m.group(2) or 0)))
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"invalid firing letter {token!r}") from None
     return tuple(letters)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .errors import CycleError, InputError, ParseError
-from .perms import Perm, _check_n, as_perm, placement_successors, rank
+from .perms import Perm, as_perm, placement_successors, rank
 from .successors import DEFAULT_CAP, check_cap, check_search, release_rounds, unrank_rows
 
 _MAGIC = b"HOMH"
@@ -94,7 +94,6 @@ def height(p: Perm) -> int:
     which no state of n <= 10 can reach."""
     p = as_perm(p)
     n = len(p)
-    _check_n(n)
     memo: dict[Perm, int | None] = {}
     stack: list[tuple[Perm, set[Perm] | None]] = [(p, None)]
     while stack:

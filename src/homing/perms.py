@@ -44,13 +44,15 @@ def as_perm(values: Iterable[SupportsIndex]) -> Perm:
 
     Any integer :func:`operator.index` accepts will do, numpy's included.
     A :class:`ParseError` names the first entry that is not an integer,
-    lies outside 1..n or repeats.
+    lies outside 1..n or repeats, and no values at all are refused with
+    :class:`InputError`: n must be >= 1.
 
     >>> as_perm([2, 1, 3])
     (2, 1, 3)
     """
     values = tuple(values)
     n = len(values)
+    _check_n(n)
     seen: dict[int, None] = {}  # the entries so far, in order
     for v in values:
         try:

@@ -335,7 +335,6 @@ def run_strategy(p: Perm, strategy: str, seed: int | None = None) -> Trace:
 
     p = as_perm(p)
     n = len(p)
-    _check_n(n)
     row = array(_row_type(n), p)
     rows = row[:]
     moves = []
@@ -410,7 +409,6 @@ def min_placements(p: Perm) -> int:
     """
     p = as_perm(p)
     n = len(p)
-    _check_n(n)
     target = identity(n)
     if p == target:
         return 0
@@ -431,10 +429,12 @@ def min_placements(p: Perm) -> int:
         frontier = nxt
 
 
-def min_placements_table(n: int, cap: int = DEFAULT_CAP) -> np.ndarray:
+def min_placements_table(n: int) -> np.ndarray:
     """``min_placements`` of every permutation, a uint8 array by rank: BFS
-    rounds from the identity along displacements, placements run backwards."""
-    check_cap(n, cap)
+    rounds from the identity along displacements, placements run backwards.
+    n is refused beyond :data:`homing.successors.DEFAULT_CAP` before
+    anything is allocated."""
+    check_cap(n, DEFAULT_CAP)
     rounds = release_rounds(n, shortest=True)
     dist = np.empty(factorial(n), dtype=np.uint8)
     for depth, frontier in enumerate(rounds):

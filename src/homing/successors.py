@@ -354,6 +354,7 @@ def release_rounds(n: int, shortest: bool = False) -> Iterator[np.ndarray]:
     >>> [r.tolist() for r in release_rounds(3, shortest=True)]
     [[0], [1, 2, 3, 4], [5]]
     """
+    # not a generator itself: perm_matrix must refuse n before a caller allocates
     return _rounds(n, perm_matrix(n), shortest)
 
 

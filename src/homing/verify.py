@@ -643,7 +643,8 @@ def check_confluence(n: int) -> Cases:
         forms = normal_forms(word)
         canon = canonicalize(word)
         if forms != {canon} or not is_canonical(canon):
-            yield f"{format_word(word)} has normal forms {forms}"
+            texts = " and ".join(sorted(map(format_word, forms)))
+            yield f"{format_word(word)} has normal forms {texts}"
         yield None if p == fired[canon] else f"rewrite changed the state of {format_word(word)}"
 
 

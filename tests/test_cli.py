@@ -282,6 +282,9 @@ BAD_INPUT = [
     (["count-mn", "--nmax", "800"], "2..200"),
     (["words", "--n", "201"], "2..200"),
     (["bell-bijection", "--partition", ""], "at least one"),
+    # an index of more digits than int() converts: a bare ValueError would propagate
+    (["canon", "--word", "L" + "9" * 5000], "invalid firing letter"),
+    (["bell-bijection", "--word", "L" + "9" * 5000], "invalid firing letter"),
 ]
 
 

@@ -208,8 +208,6 @@ def test_strip_trace_sums_to_weight(k):
 def test_tie_must_be_plus_or_minus(tie):
     with pytest.raises(ValueError, match="tie"):
         weight("+-", tie=tie)
-    with pytest.raises(ValueError, match="tie"):
-        strip_trace("+-", tie=tie)
     assert weight("+-", tie="+") == weight("+-", tie="-") == 3
 
 

@@ -373,7 +373,7 @@ def test_word_to_partition_validation():
         word_to_partition((L(1),))  # block 2 does not exist yet
     with pytest.raises(WordError, match=r"names block 0 of 1"):
         word_to_partition((L(-1),))  # no block 0: it must not wrap to the last block
-    with pytest.raises(WordError, match="letter 1 has invalid side 'X'"):
+    with pytest.raises(WordError, match="letter 1: X0 has invalid side 'X'"):
         word_to_partition((FiringLetter("X", 0),))
     with pytest.raises(WordError, match=r"blocks do not partition 1..m: \(\(1, 2\), \(2, 3\)\)"):
         partition_to_word(((1, 2), (2, 3)))
@@ -434,6 +434,9 @@ def test_word_text_roundtrip():
     assert format_word(parse_word("R0,L0"), restricted=True) == "R,L0"
     with pytest.raises(ParseError):
         parse_word("L0,X2")
+    # more digits than int() converts (4,300 by default) is bad input too
+    with pytest.raises(ParseError, match="invalid firing letter 'L999"):
+        parse_word("L0,L" + "9" * 5000)
 
 
 def test_partition_text_roundtrip():

@@ -264,6 +264,10 @@ def test_as_perm_accepts_and_refuses():
     assert as_perm([2, 1]) == (2, 1)
     with pytest.raises(ParseError):
         as_perm([1, 3])
+    # the size check is as_perm's, so every search toward the identity makes it
+    for refuses in (as_perm, height, min_placements, lambda p: run_strategy(p, STRATEGIES[0])):
+        with pytest.raises(InputError, match="n must be >= 1, got 0"):
+            refuses(())
 
 
 @pytest.mark.parametrize(

@@ -337,14 +337,20 @@ def test_both_tables_raise_one_cycle_error(monkeypatch, build):
         list(release_rounds(5, shortest=True))
 
 
-@pytest.mark.parametrize("build", TABLES)
-def test_tables_refuse_ranks_beyond_int32_before_allocating(monkeypatch, build):
+def test_tables_refuse_ranks_beyond_int32_before_allocating(monkeypatch):
+    """The height table, whose cap a caller may raise, and the rounds of
+    the BFS table are refused beyond int32 ranks; the BFS table itself is
+    refused at the default cap first."""
     def no_allocation(*args, **kwargs):
         raise AssertionError("the 13! table was allocated")
 
     monkeypatch.setattr(np, "empty", no_allocation)
     with pytest.raises(CapacityError, match="n <= 12"):
-        build(13, cap=13)
+        build_height_table(13, cap=13)
+    with pytest.raises(CapacityError, match="n <= 12"):
+        release_rounds(13, shortest=True)
+    with pytest.raises(CapacityError, match="exceeds the cap 10"):
+        min_placements_table(13)
 
 
 @pytest.mark.parametrize("module", [heights, strategies], ids=lambda m: m.__name__)

@@ -423,7 +423,7 @@ PLANTED = [
      lambda real: lambda n: real(n) ^ {(2, 3, 1), (1, 2, 3)} if n == 3 else real(n),  # 1,2,3 for 2,3,1
      "n=3: 2,3,1 is not a worst case"),
     (verify.check_confluence, "canonicalize", lambda real: lambda word: word,
-     "L0,R1 has normal forms {(FiringLetter(side='R', index=0), FiringLetter(side='L', index=1))}"),
+     "L0,R1 has normal forms R0,L1"),
     (verify.check_confluence, "walk", state_replaced((L(0), R(1)), (1, 2, 3, 4)),
      "rewrite changed the state of L0,R1"),
     (verify.check_recurrence_language, "split_count", plus_one, "f(1,1) != language count"),
