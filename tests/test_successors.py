@@ -337,20 +337,26 @@ def test_both_tables_raise_one_cycle_error(monkeypatch, build):
         list(release_rounds(5, shortest=True))
 
 
-def test_tables_refuse_ranks_beyond_int32_before_allocating(monkeypatch):
-    """The height table, whose cap a caller may raise, and the rounds of
-    the BFS table are refused beyond int32 ranks; the BFS table itself is
-    refused at the default cap first."""
+REFUSALS_AT_13 = {
+    # The height table's cap may be raised, so its int32 check is reached.
+    build_height_table: [(lambda: build_height_table(13, cap=13), "n <= 12")],
+    # The BFS table is refused at the default cap; its rounds beyond int32.
+    min_placements_table: [
+        (lambda: min_placements_table(13), "exceeds the cap 10"),
+        (lambda: release_rounds(13, shortest=True), "n <= 12"),
+    ],
+}
+
+
+@pytest.mark.parametrize("build", TABLES)
+def test_tables_refuse_ranks_beyond_int32_before_allocating(monkeypatch, build):
     def no_allocation(*args, **kwargs):
         raise AssertionError("the 13! table was allocated")
 
     monkeypatch.setattr(np, "empty", no_allocation)
-    with pytest.raises(CapacityError, match="n <= 12"):
-        build_height_table(13, cap=13)
-    with pytest.raises(CapacityError, match="n <= 12"):
-        release_rounds(13, shortest=True)
-    with pytest.raises(CapacityError, match="exceeds the cap 10"):
-        min_placements_table(13)
+    for call, message in REFUSALS_AT_13[build]:
+        with pytest.raises(CapacityError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("module", [heights, strategies], ids=lambda m: m.__name__)
