@@ -27,7 +27,8 @@ Any other exception is a bug and propagates.  Output is byte-deterministic
 given identical flags and seed.  ``--out FILE`` writes atomically through
 :func:`homing.atomic.write_atomic`, so an interrupt never leaves a
 half-written file; ``trace``/``sort`` stream one chunk per block of steps,
-and ``words`` and ``enum-mn`` one item at a time.
+``enum-mn`` one per block of up to 8,192 permutations, and ``words`` one
+word at a time.
 """
 from __future__ import annotations
 
@@ -38,6 +39,8 @@ import sys
 from dataclasses import asdict
 from functools import partial
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .atomic import write_atomic
 from .counting import _check_table_n, growth_csv, growth_table, worst_case_count
@@ -52,10 +55,10 @@ from .firings import (
     partition_to_word,
     word_to_partition,
 )
-from .heights import height, worst_case_permutations
-from .perms import format_perm, parse_perm
-from .strategies import STRATEGIES, min_placements, random_homing_mean, run_strategy
-from .successors import DEFAULT_CAP
+from .heights import build_height_table, height
+from .perms import parse_perm
+from .strategies import _BLOCK, STRATEGIES, _cells, min_placements, random_homing_mean, run_strategy
+from .successors import DEFAULT_CAP, unrank_rows
 from .verify import run_suite, suite_names
 
 USAGE_ERROR = 2
@@ -136,15 +139,35 @@ def _cmd_scalar(label: str, compute, args) -> int:
     return 0
 
 
-def _json_perm(p) -> str:
-    """``json.dumps(list(p))`` for a permutation, without building the list."""
-    return "[" + ", ".join(map(str, p)) + "]"
+def _perm_listing(rows: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """Output chunks for the permutations in the rows of ``rows``, one per
+    block of up to ``_BLOCK`` rows, each gathered from the value cells of
+    :mod:`homing.strategies`: byte for byte what ``json.dumps`` gives for
+    the list of rows, or a :func:`homing.perms.format_perm` line per row.
+    In json every row is written ``[v, ..., v], ``, and the last one's
+    ``, `` gives way to the closing ``]``."""
+    n = rows.shape[1]
+    json_rows = fmt == "json"
+    # the cells of each value of a row but the last, and of its last value
+    body, last = (_cells(n, b", "), _cells(n, b"], ")) if json_rows else (_cells(n, b","), _cells(n, b"\n"))
+    if json_rows:
+        yield b"["
+    for start in range(0, len(rows), _BLOCK):
+        block = np.ascontiguousarray(rows[start : start + _BLOCK])  # so each gather is too
+        cells = [body[block[:, :-1]].view(np.uint8), last[block[:, -1:]].view(np.uint8)]
+        if json_rows:
+            cells.insert(0, np.full((len(block), 1), ord("["), np.uint8))
+        text = np.concatenate(cells, axis=1).tobytes().translate(None, b"\0")
+        yield text[:-2] if json_rows and start + _BLOCK >= len(rows) else text
+    if json_rows:
+        yield b"]\n"
 
 
 def _cmd_enum_mn(args) -> int:
-    item = _json_perm if args.format == "json" else format_perm
-    perms = map(item, worst_case_permutations(args.n, cap=args.cap))
-    _write_output(_listing(perms, args.format), args.out)
+    table = build_height_table(args.n, args.cap)
+    top = (1 << (args.n - 1)) - 1
+    rows = unrank_rows(args.n, np.flatnonzero(table.heights == top))
+    _write_bytes(_perm_listing(rows, args.format), args.out)
     return 0
 
 

@@ -111,10 +111,10 @@ def height(p: Perm) -> int:
     return memo[p]
 
 
-def worst_case_permutations(n: int, cap: int = DEFAULT_CAP) -> list[Perm]:
-    """All permutations at the maximum height 2^(n-1) - 1, in lex order."""
-    table = build_height_table(n, cap)
-    return table.members_at((1 << (n - 1)) - 1)
+def worst_case_permutations(n: int) -> list[Perm]:
+    """All permutations at the maximum height 2^(n-1) - 1, in lex order, as
+    tuples: the oracle the tests compare the ``enum-mn`` listing with."""
+    return build_height_table(n).members_at((1 << (n - 1)) - 1)
 
 
 def stage1_longest(n: int) -> int:

@@ -10,8 +10,9 @@ balls it passes over shift by one to make room.  ``displace`` is the exact
 inverse: it evicts a value that currently sits at home.  Both are pure
 functions on tuples, so everything here is safe to share across threads.
 ``place_at`` is the one placement routine: it places the value at a given
-position of a mutable row (a list, a ``bytearray`` or an ``array.array``),
-and ``place`` runs it on a copy, from the position of the value it names.
+position of a mutable row (a list, a ``bytearray`` or an ``array.array``).
+``place`` runs it on a copy, from the position of the value it names, and
+``placement_successors`` on a copy per out-of-place position, with no check.
 ``as_perm`` is the one validity check, which every search or run toward the
 identity makes on the state it is given.
 """
@@ -169,9 +170,15 @@ def place(p: Perm, value: int) -> Perm:
     value = _move_index("cannot place", value)
     if not 1 <= value <= len(p):
         raise InvalidMoveError(f"cannot place {value}: not a value of 1..{len(p)}")
-    items = list(p)
-    place_at(items, items.index(value))
-    return tuple(items)
+    return _placed(p, p.index(value))
+
+
+def _placed(p: Perm, q: int) -> Perm:
+    """``p`` with the value at 0-based position ``q`` placed, by
+    :func:`place_at` on a copy."""
+    row = list(p)
+    place_at(row, q)
+    return tuple(row)
 
 
 def displace(p: Perm, value: int, target: int) -> Perm:
@@ -205,7 +212,8 @@ def placement_successors(p: Perm) -> set[Perm]:
     >>> placement_successors((2, 1))
     {(1, 2)}
     """
-    return {place(p, v) for v in placeable_values(p)}
+    # every value and position comes from p itself: nothing to validate
+    return {_placed(p, q) for q, v in enumerate(p) if v != q + 1}
 
 
 def displacement_successors(p: Perm) -> list[tuple[DisplacementMove, Perm]]:

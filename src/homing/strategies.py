@@ -32,10 +32,12 @@ not per step; the extremal walk keeps one such pointer at each end.
 The run's codes, weights and text are computed per block of up to
 ``_BLOCK`` steps of that buffer, read as a matrix: one scatter gives the
 positions, the weight kernel of :mod:`homing.successors` the codes and
-weights (:func:`code_signs`, :func:`code_weights`), and byte tables the
-text.  A trace has two readers: :meth:`Trace.steps`, one record per step,
-and :meth:`Trace.text`, ASCII bytes per block, which the CLI writes as
-they come, with no round trip through ``str``.
+weights (:func:`code_signs`, :func:`code_weights`), and tables of
+NUL-padded value cells the text; the same cell tables render the
+``enum-mn`` listing of :mod:`homing.cli`.  A trace has two readers:
+:meth:`Trace.steps`, one record per step, and :meth:`Trace.text`, ASCII
+bytes per block, which the CLI writes as they come, with no round trip
+through ``str``.
 :func:`homing.codes.code_of` and :func:`homing.codes.weight` stay the
 definition, and the tests compare the blocks with them.
 
@@ -133,15 +135,7 @@ class Trace:
         source, target, state, code, weight.  ASCII bytes, one chunk per
         block of up to ``_BLOCK`` steps, each line ending in a newline."""
         n = len(self.initial)
-        # every value's text followed by "," or a tab, NUL-padded to a
-        # power-of-two width so that one gather copies a whole cell
-        digits = _digits(np.arange(n + 1))
-        d = digits.shape[1]
-        comma = np.zeros((n + 1, 1 << d.bit_length()), np.uint8)
-        comma[:, :d] = digits
-        tab = comma.copy()
-        comma[:, d], tab[:, d] = ord(","), ord("\t")
-        comma, tab = comma.view(f"V{comma.shape[1]}")[:, 0], tab.view(f"V{tab.shape[1]}")[:, 0]
+        comma, tab = _cells(n, b","), _cells(n, b"\t")
         for b in self._blocks():
             m = len(b.matrix)
             state = comma[b.matrix]
@@ -192,6 +186,20 @@ class _Block(NamedTuple):
 def _row_type(n: int) -> str:
     """The ``array`` type code of a packed row of n values."""
     return "B" if n < 256 else "H" if n < 65536 else "I"
+
+
+def _cells(n: int, separator: bytes) -> np.ndarray:
+    """The text cell of every value 0..n followed by ``separator``, indexed
+    by value: its digits right-aligned, NUL-padded to a power-of-two width
+    so that one gather copies a whole cell.  An array of void cells; a
+    gather by a matrix of values, viewed as uint8, is its rows' text once
+    ``translate(None, b"\\0")`` drops the padding."""
+    digits = _digits(np.arange(n + 1))
+    d = digits.shape[1]
+    table = np.zeros((n + 1, 1 << (d + len(separator) - 1).bit_length()), np.uint8)
+    table[:, :d] = digits
+    table[:, d : d + len(separator)] = np.frombuffer(separator, np.uint8)
+    return table.view(f"V{table.shape[1]}")[:, 0]
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

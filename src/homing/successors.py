@@ -111,8 +111,9 @@ def perm_matrix(n: int) -> np.ndarray:
     (lexicographic) order.
 
     Built first value by first value: the block of rows starting with v is
-    S_(n-1) read through a lookup table that shifts every value >= v up by
-    one.  Beyond n = 12 ranks leave int32, and n is refused unallocated.
+    S_(n-1) with every value >= v raised by one, ``rows + (rows >= v)``
+    summed in int8 into the block.  Beyond n = 12 ranks leave int32, and n
+    is refused unallocated.
 
     >>> perm_matrix(3).tolist()
     [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
@@ -124,10 +125,9 @@ def perm_matrix(n: int) -> np.ndarray:
         block = len(rows)
         out = np.empty((block * m, m), dtype=np.int8)
         for v in range(1, m + 1):
-            skip_v = np.array([k + (k >= v) for k in range(m)], dtype=np.int8)
             part = out[(v - 1) * block : v * block]
             part[:, 0] = v
-            part[:, 1:] = skip_v[rows]
+            np.add(rows, rows >= v, out=part[:, 1:])
         rows = out
     return rows
 

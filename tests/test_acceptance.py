@@ -8,15 +8,20 @@ are the cases the check asserted on.  There is no table fixture: the
 checks, and the tests that read a table, share one table per n through
 :mod:`homing.verify`, and the one timing gate times a build of its own.
 """
+import hashlib
+import json
 import time
 from fractions import Fraction
 from math import factorial
 
-from homing import identity, rotation, swap_ends, verify
+import numpy as np
+
+from homing import cli, format_perm, identity, rotation, swap_ends, verify
 from homing.counting import bell_number, growth_csv, growth_table, worst_case_count
 from homing.firings import apply_word, canonicalize, format_word, parse_word
 from homing.heights import build_height_table
 from homing.strategies import LEFTMOST_NOT_HOME, min_placements, random_homing_mean, run_strategy
+from homing.successors import unrank_rows
 
 WORST_CASE_COUNTS = {2: 1, 3: 2, 4: 5, 5: 16, 6: 62, 7: 280, 8: 1440, 9: 8296, 10: 52864}
 
@@ -48,6 +53,32 @@ def test_worst_case_set_sizes():
         members = verify._table(n).members_at((1 << (n - 1)) - 1)
         assert len(members) == worst_case_count(n) == WORST_CASE_COUNTS[n]
     print("\nPASS worst-case set sizes: exhaustive counts match the recurrence for n=2..10")
+
+
+# sha256 of `homing enum-mn --n 10` in each format
+ENUM_N10_SHA256 = {
+    "json": "327bb2995bf1f4111a9b9156a9dd665da1ea21833423b15b7802661552c7c67b",
+    "text": "3d99bd7bcc294924f28a64e7727c0bfb510b4f4c9700cf6d4894081b740e448d",
+}
+
+
+def test_worst_case_listing_n10():
+    """The ``enum-mn --n 10`` listing, 52,864 rows over seven blocks with
+    one- and two-digit values, is ``json.dumps`` of the worst-case set and a
+    ``format_perm`` line per member, byte for byte, on verify's shared
+    table; its digests are pinned."""
+    table = verify._table(10)
+    rows = unrank_rows(10, np.flatnonzero(table.heights == (1 << 9) - 1))
+    members = [list(p) for p in table.members_at((1 << 9) - 1)]
+    oracles = {
+        "json": json.dumps(members) + "\n",
+        "text": "".join(format_perm(p) + "\n" for p in members),
+    }
+    for fmt, oracle in oracles.items():
+        out = b"".join(cli._perm_listing(rows, fmt))
+        assert out == oracle.encode()
+        assert hashlib.sha256(out).hexdigest() == ENUM_N10_SHA256[fmt]
+    print(f"\nPASS worst-case listing: n=10, {len(members)} rows in json and text match their oracles")
 
 
 def test_gateway_height():

@@ -1,4 +1,5 @@
 """The command-line surface: outputs, formats, exit codes, atomic writes."""
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from homing import CodeShapeError, CycleError, InputError, ParseError, WordError
 from homing.cli import BROKEN_PIPE, FORMATS, main
 from homing.firings import canonical_words, format_word
 from homing.heights import worst_case_permutations
+from homing.perms import format_perm
 from homing.strategies import Trace
 
 
@@ -439,6 +441,41 @@ def test_listing_is_json_dumps(command, k, capsys):
     assert out == json.dumps(items) + "\n"
     _, out, _ = run_cli(capsys, command, "--n", str(k), "--format", "text")
     assert out == "".join(line + "\n" for line in lines)
+
+
+# sha256 of `homing enum-mn --n 9`; the json one is the digest the benchmark pins
+ENUM_N9_SHA256 = {
+    "json": "677f13d50db868ff44db3ae560f7757f7aed363cddab709ffe8846e370cd545c",
+    "text": "a8cdde88b337b20dbb1a003d55d6ced9bd26d5431062d62dd6ff24fb89092cf6",
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_enum_mn_9_bytes_are_pinned(fmt, capsys):
+    """The 8,296 rows at n = 9 cross a block boundary of the listing."""
+    code, out, _ = run_cli(capsys, "enum-mn", "--n", "9", "--format", fmt)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == ENUM_N9_SHA256[fmt]
+    assert len(json.loads(out) if fmt == "json" else out.splitlines()) == 8296 > cli._BLOCK
+
+
+@pytest.mark.parametrize("fmt, text", [("json", b"[]\n"), ("text", b"")])
+def test_empty_perm_listing(fmt, text):
+    assert b"".join(cli._perm_listing(np.empty((0, 4), np.int8), fmt)) == text
+
+
+@pytest.mark.parametrize("count", [1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 7])
+def test_perm_listing_across_blocks(count):
+    """Rows of S_12, with one- and two-digit values, on either side of each
+    block boundary: json comes as one chunk per block between ``[`` and
+    ``]\\n``, and the chunks join to json.dumps and to format_perm lines."""
+    rng = np.random.default_rng(count)
+    rows = successors.unrank_rows(12, rng.integers(0, 479001600, count))
+    items = rows.tolist()
+    chunks = list(cli._perm_listing(rows, "json"))
+    assert b"".join(chunks).decode() == json.dumps(items) + "\n"
+    assert len(chunks) == 2 + -(-count // cli._BLOCK)  # "[", the blocks, "]\n"
+    text = b"".join(cli._perm_listing(rows, "text")).decode()
+    assert text == "".join(format_perm(p) + "\n" for p in items)
 
 
 ROTATION_16 = ",".join(map(str, [*range(2, 17), 1]))

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from homing import (
@@ -310,15 +311,17 @@ def test_load_rejects_an_oversized_file_before_reading_it(tmp_path):
         tracemalloc.stop()
 
 
-def members_json(members):
-    """The JSON text the CLI writes for a list of permutations."""
-    return "".join(cli._listing(map(cli._json_perm, members), "json"))
+def members_json(members, n):
+    """The JSON text the CLI's ``enum-mn`` listing writes for a list of
+    permutations of 1..n."""
+    rows = np.array(members, np.int8).reshape(-1, n)
+    return b"".join(cli._perm_listing(rows, "json")).decode()
 
 
 def test_members_json():
-    text = members_json([(2, 1)])
+    text = members_json([(2, 1)], 2)
     assert json.loads(text) == [[2, 1]]
-    assert members_json([]) == json.dumps([]) + "\n"
+    assert members_json([], 2) == json.dumps([]) + "\n"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -326,7 +329,7 @@ def test_members_json_is_json_dumps(n):
     table = build_height_table(n)
     for h in range(table.max() + 1):
         members = table.members_at(h)
-        assert members_json(members) == json.dumps([list(p) for p in members]) + "\n"
+        assert members_json(members, n) == json.dumps([list(p) for p in members]) + "\n"
 
 
 @pytest.mark.parametrize("n", range(1, 9))
